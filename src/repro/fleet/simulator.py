@@ -48,6 +48,19 @@ pin-once-forever routing stranding backlogs behind a slow box.
 their realized TTFT to ``policy.observe``, which the
 ``calibrated-latency`` policy folds into a per-shard bias correcting
 later predictions.
+
+**Chaos runs through the same loop.** A third event stream, the fault
+heap, merges in ahead of arrivals (a fault at an arrival's instant
+fires first): a crash harvests the shard's queued and in-flight work
+(retried, expired or lost under the
+:class:`~repro.fleet.resilience.RetryPolicy`) and keeps the shard down
+through its outage plus re-warm; down shards take no traffic, and a
+request with no live feasible shard parks until the first recovers; a
+brownout scales a shard's step latency; optional shedding rejects or
+evicts at routing time. Fault times, retry jitter and every tie-break
+are seeded or totally ordered, so two same-seed chaos runs produce
+``==`` reports. A plain run is the case with an empty fault heap, no
+retry policy and no shedding.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.meadow import MeadowEngine
-from ..errors import CapacityError, ConfigError
+from ..errors import ConfigError
 from ..obs.tracer import FleetObserver, ObsBundle
 from ..serving.metrics import FleetMetrics
 from ..serving.request import Request, RequestSource
@@ -298,12 +311,12 @@ class _DrainCalendar:
 
     Replaces the rebuild-the-whole-heap-on-stale drain loop: each
     shard's current key (``next_event_s()``, or +inf when idle) is
-    cached in ``_keys``; state-touching sites mark shards dirty via
-    :meth:`invalidate` / :meth:`invalidate_all` and the next
-    :meth:`pop` re-keys only the dirty ones, pushing a heap entry only
-    when the key actually changed. Superseded heap entries are removed
-    lazily — an entry is live iff its value still equals the shard's
-    cached key — so no heapify ever runs after construction.
+    cached in ``_keys``; state-touching sites mark the cache stale via
+    :meth:`invalidate_all` and the next :meth:`pop` re-keys the shards,
+    pushing a heap entry only when a key actually changed. Superseded
+    heap entries are removed lazily — an entry is live iff its value
+    still equals the shard's cached key — so no heapify ever runs after
+    construction.
 
     Invariant: every shard with a finite cached key has at least one
     live heap entry. :meth:`pop` consumes the winner's entry, so the
@@ -313,34 +326,29 @@ class _DrainCalendar:
     clock, and the entry still has to come back).
     """
 
-    __slots__ = ("_heap", "_keys", "_dirty", "_shards")
+    __slots__ = ("_heap", "_keys", "_stale", "_shards")
 
     def __init__(self, shards: Sequence[ContinuousBatchingScheduler]) -> None:
         self._shards = shards
         self._heap: List[Tuple[float, int]] = []
         self._keys = [math.inf] * len(shards)
-        self._dirty = set(range(len(shards)))
-
-    def invalidate(self, shard_id: int) -> None:
-        """Mark one shard's cached key as suspect (re-keyed on next pop)."""
-        self._dirty.add(shard_id)
+        self._stale = True
 
     def invalidate_all(self) -> None:
-        """Mark every shard dirty (arrival syncs advance all of them)."""
-        self._dirty.update(range(len(self._shards)))
+        """Mark every cached key suspect (re-keyed on the next pop)."""
+        self._stale = True
 
     def _flush(self) -> None:
-        if not self._dirty:
+        if not self._stale:
             return
-        heap, keys, shards = self._heap, self._keys, self._shards
-        for i in sorted(self._dirty):
-            shard = shards[i]
+        heap, keys = self._heap, self._keys
+        for i, shard in enumerate(self._shards):
             key = math.inf if shard.idle else shard.next_event_s()
             if key != keys[i]:
                 keys[i] = key
                 if key != math.inf:
                     heapq.heappush(heap, (key, i))
-        self._dirty.clear()
+        self._stale = False
 
     def pop(self) -> Optional[Tuple[float, int, float]]:
         """Next acting shard as ``(key, shard_id, horizon)``, or None.
@@ -382,9 +390,6 @@ class FleetSimulator:
         policy: a :class:`RoutingPolicy` instance or registered name.
         kv_budget_bytes / max_batch / ctx_bucket: scalar applied to all
             shards, or one value per shard for heterogeneous fleets.
-        coalesce: let every shard advance stable decode runs in one
-            event-compressed pass (bit-identical; ``False`` forces the
-            per-token reference walk everywhere).
         token_events: materialize per-token DECODE_STEP / FIRST_TOKEN
             events in every shard's log. Flip off for long sweeps —
             records, merged metrics and peak-KV accounting are exact
@@ -393,8 +398,9 @@ class FleetSimulator:
             calendar (heap of per-shard ``next_event_s`` keys, coalesced
             advances between keys) — O(fleet events). ``False`` retains
             the per-iteration reference walk (globally minimal shard,
-            one iteration at a time) the equivalence tests compare
-            against; both produce bit-identical timelines.
+            one iteration at a time, never the open-loop shortcut) the
+            equivalence tests compare against; both produce
+            bit-identical timelines.
         interpolate: allow guarded log-linear surface interpolation on
             every shard's latency lookups (approximate within each
             surface's ``interp_rel_err`` bound, falling back to exact
@@ -408,8 +414,9 @@ class FleetSimulator:
             scenario (``"crash"`` / ``"cascade"`` / ``"brownout"`` /
             ``"chaos"`` — instantiated at run time against the fleet
             size and the stream's arrival span), or ``None``. With no
-            faults, no retry policy and no shedding the run takes the
-            exact pre-resilience code path, bit for bit.
+            faults, no retry policy and no shedding the run keeps no
+            disposition ledger and reports ``resilience=None``; its
+            timeline is the same as under ``retry=RetryPolicy()``.
         retry: :class:`~repro.fleet.resilience.RetryPolicy` governing
             failure-driven resubmission. Defaults to ``RetryPolicy()``
             whenever faults are scheduled, so chaos runs retry unless
@@ -434,7 +441,6 @@ class FleetSimulator:
         kv_budget_bytes=None,
         max_batch=16,
         ctx_bucket=1,
-        coalesce: bool = True,
         token_events: bool = True,
         calendar: bool = True,
         steal: bool = False,
@@ -460,7 +466,6 @@ class FleetSimulator:
         self.kv_budget_bytes = _per_shard(kv_budget_bytes, n, "kv_budget_bytes")
         self.max_batch = _per_shard(max_batch, n, "max_batch")
         self.ctx_bucket = _per_shard(ctx_bucket, n, "ctx_bucket")
-        self.coalesce = coalesce
         self.token_events = token_events
         self.calendar = calendar
         self.steal = steal
@@ -493,347 +498,30 @@ class FleetSimulator:
         if not initial:
             raise ConfigError(f"source {source.name!r} produced no requests")
         schedule = self._resolve_faults(initial)
-        # The resilience layer engages only when something asked for it;
-        # otherwise the run takes the exact pre-resilience code path, so
-        # `faults=None` and `faults=FaultSchedule.none()` (and the build
-        # without this layer) produce bit-identical reports.
+        n_shards = len(self.engines)
+        policy = self.policy
+        policy.reset(n_shards)
+        obs = self.obs
+        # The resilience layer engages only when something asked for it.
+        # A plain run keeps no disposition ledger and reports
+        # `resilience=None`, so `faults=None`, `FaultSchedule.none()` and
+        # `"none"` produce equal reports.
         resilient = (
             not schedule.is_empty
             or self.retry is not None
             or (self.shedding is not None and self.shedding.name != "none")
         )
-        if resilient:
-            return self._run_resilient(source, initial, schedule)
-        policy = self.policy
-        policy.reset(len(self.engines))
-        obs = self.obs
+        retry_policy = self.retry if self.retry is not None else RetryPolicy()
+        shedding = self.shedding if resilient else None
 
         # (arrival_s, request_id, Request): the same deterministic FCFS
         # total order the per-shard schedulers use.
         arrivals: List[Tuple[float, int, Request]] = []
         n_rejected = 0
         # Predictions awaiting realization (request id -> predicted
-        # TTFT on its current shard). Entries are dropped when a steal
-        # migrates the request, so completions only report placements
-        # that actually ran.
-        pending_predictions: Dict[int, float] = {}
-        shards: List[ContinuousBatchingScheduler] = []
-
-        def make_harvest(shard_id: int):
-            # Shard completion hook: feed realized TTFT back to the
-            # policy, then pull any follow-up back to the global router
-            # instead of letting the shard keep it.
-            def harvest(request: Request, finish_s: float) -> Optional[Request]:
-                nonlocal n_rejected
-                predicted = pending_predictions.pop(request.request_id, None)
-                if predicted is not None:
-                    record = shards[shard_id].record_for(request.request_id)
-                    policy.observe(shard_id, predicted, record.ttft_s)
-                follow_up = source.on_complete(request, finish_s)
-                if follow_up is None:
-                    return None
-                if any(s.can_ever_admit(follow_up) for s in shards):
-                    heapq.heappush(
-                        arrivals,
-                        (follow_up.arrival_s, follow_up.request_id, follow_up),
-                    )
-                    if obs is not None:
-                        obs.instant(
-                            "SUBMIT", follow_up.arrival_s,
-                            request_id=follow_up.request_id, follow_up=True,
-                        )
-                else:
-                    n_rejected += 1
-                return None
-
-            return harvest
-
-        shards.extend(
-            ContinuousBatchingScheduler(
-                engine,
-                source=None,
-                kv_budget_bytes=self.kv_budget_bytes[i],
-                max_batch=self.max_batch[i],
-                ctx_bucket=self.ctx_bucket[i],
-                on_complete=make_harvest(i),
-                coalesce=self.coalesce,
-                token_events=self.token_events,
-                interpolate=self.interpolate,
-                obs=obs.shard(i) if obs is not None else None,
-            )
-            for i, engine in enumerate(self.engines)
-        )
-        # Open-loop sources never inject follow-ups, so once the arrival
-        # heap drains the shards are fully independent and each can run
-        # dry in one coalesced advance instead of the boundary-level
-        # stepping closed-loop routing fidelity (and steal checks)
-        # requires. A source is open-loop only when on_complete is the
-        # base-class no-op and no instance-level hook shadows it.
-        open_loop = (
-            type(source).on_complete is RequestSource.on_complete
-            and "on_complete" not in getattr(source, "__dict__", {})
-            and not self.steal
-        )
-
-        seen_ids = set()
-        for req in initial:
-            if req.request_id in seen_ids:
-                raise ConfigError(
-                    f"duplicate request id {req.request_id} in fleet stream"
-                )
-            seen_ids.add(req.request_id)
-            if not any(s.can_ever_admit(req) for s in shards):
-                # Mirror the single-engine fail-fast: an initial request
-                # that can never run anywhere is a configuration error.
-                shards[0]._check(req)  # raises with the precise reason
-            heapq.heappush(arrivals, (req.arrival_s, req.request_id, req))
-            if obs is not None:
-                obs.instant("SUBMIT", req.arrival_s, request_id=req.request_id)
-
-        decisions: List[RoutingDecision] = []
-
-        def steal_pass() -> bool:
-            return self._steal_pass(
-                shards, decisions, pending_predictions, obs=obs
-            )
-
-        # The drain calendar caches each shard's next-event key with
-        # explicit invalidation: routing, stealing and arrival syncs
-        # mark the shards they touched dirty instead of forcing a full
-        # rebuild, and only changed keys re-enter the heap.
-        calendar = _DrainCalendar(shards)
-        while True:
-            if self.steal and steal_pass():
-                calendar.invalidate_all()
-            if arrivals:
-                calendar.invalidate_all()
-                t, request_id, req = heapq.heappop(arrivals)
-                # No shard may lag the routing instant: advance each to
-                # t (steps in flight may overshoot — shards are busy
-                # until their clock, which the snapshot exposes). The
-                # advance stops the moment a completion injects a
-                # follow-up due *before* t: that follow-up must be
-                # routed — and submitted to its shard — before any
-                # shard simulates past its arrival, or prefills that
-                # should preempt in-flight decodes run too late.
-                preempted = lambda: bool(arrivals) and arrivals[0][0] < t
-                for shard in shards:
-                    shard.advance_until(t, interrupt=preempted)
-                if preempted():
-                    # Route the earlier follow-up first; the popped
-                    # arrival goes back and re-advances from here.
-                    heapq.heappush(arrivals, (t, request_id, req))
-                    continue
-                feasible = [
-                    shard.snapshot(i)
-                    for i, shard in enumerate(shards)
-                    if shard.can_ever_admit(req)
-                ]
-                choice = policy.route(req, t, feasible)
-                chosen = next(
-                    (snap for snap in feasible if snap.shard_id == choice), None
-                )
-                if chosen is None:
-                    raise ConfigError(
-                        f"policy {policy.name!r} routed request "
-                        f"{request_id} to infeasible shard {choice}"
-                    )
-                shards[choice].submit(req)
-                predicted = policy.predicted_ttft_s(req, t, chosen)
-                if predicted is not None:
-                    pending_predictions[request_id] = predicted
-                decisions.append(
-                    RoutingDecision(request_id, t, choice, predicted)
-                )
-                if obs is not None:
-                    obs.instant(
-                        "ROUTE", t, request_id=request_id, shard_id=choice,
-                        policy=policy.name, predicted_ttft_s=predicted,
-                    )
-                    obs.count("requests_routed", shard=choice)
-            elif open_loop:
-                # Open-loop fast path: no follow-ups can ever appear,
-                # so each shard runs dry independently in one coalesced
-                # advance.
-                busy = [shard for shard in shards if not shard.idle]
-                if not busy:
-                    break
-                for shard in busy:
-                    shard.advance_until(math.inf)
-            elif self.calendar:
-                # Event-calendar drain: pop the globally next-acting
-                # shard and advance it in one coalesced pass up to the
-                # runner-up's key, bailing out the moment a completion
-                # injects a global follow-up — so closed-loop arrivals
-                # re-enter routing at exactly the same instant the
-                # reference walk would surface them.
-                nxt = calendar.pop()
-                if nxt is None:
-                    break
-                key, idx, horizon = nxt
-                shard = shards[idx]
-                if key >= horizon:
-                    # Exact tie with the runner-up: run one iteration,
-                    # matching the reference walk's id-ordered pick.
-                    shard.advance_one()
-                else:
-                    shard.advance_until(
-                        horizon, interrupt=lambda: bool(arrivals)
-                    )
-                calendar.reschedule(idx)
-            else:
-                # Reference drain: step the globally next-acting busy
-                # shard one iteration at a time, so a completion's
-                # closed-loop follow-up re-enters global routing
-                # immediately — not after every shard has already
-                # simulated past it. This keeps a one-shard closed-loop
-                # fleet identical to single-engine serving and routing
-                # snapshots honest. The calendar path above executes
-                # the identical iteration sequence in coalesced runs.
-                busy = [shard for shard in shards if not shard.idle]
-                if not busy:
-                    break
-                min(busy, key=lambda shard: shard.next_event_s()).advance_one()
-
-        shard_results = tuple(shard.result() for shard in shards)
-        result = FleetResult(
-            model_name=self.engines[0].model.name,
-            policy_name=policy.name,
-            source_name=source.name,
-            shard_results=shard_results,
-            decisions=tuple(decisions),
-            n_rejected_followups=n_rejected,
-        )
-        return FleetReport(
-            result=result,
-            metrics=merge_results(shard_results),
-            shard_metrics=tuple(
-                FleetMetrics.from_result(r) for r in shard_results
-            ),
-            obs=obs.build() if obs is not None else None,
-        )
-
-    @staticmethod
-    def _steal_pass(
-        shards: List[ContinuousBatchingScheduler],
-        decisions: List[RoutingDecision],
-        pending_predictions: Dict[int, float],
-        up: Optional[List[bool]] = None,
-        obs: Optional[FleetObserver] = None,
-    ) -> bool:
-        """Idle thieves pull waiting work off backlogged donors.
-
-        Deterministic: thieves are visited in ascending shard id;
-        each scans donors by (deepest stealable backlog, lowest id)
-        and takes the *oldest* still-waiting request it could ever
-        admit — the one with the worst accumulated wait, whose
-        departure also shortens the queue for everything behind it
-        — provided the donor stays non-idle after losing it and
-        the move is profitable: the idle thief's first-token
-        instant (its clock plus its surface's prefill) must beat a
-        *lower bound* on the donor's (busy-until plus the donor's
-        prefill, ignoring the donor's queue), so work never
-        migrates onto a shard slow enough to make the wait look
-        good. One steal per thief per pass (the thief is busy
-        afterwards). Returns whether anything moved.
-
-        ``up`` (resilient runs only) masks crashed shards: a down
-        shard is "idle" because its queue was harvested, not because
-        it has capacity — it must neither steal nor donate (it holds
-        nothing to donate anyway).
-        """
-
-        def helps(thief, donor, candidate):
-            first_token_thief = max(
-                thief.clock_s, candidate.arrival_s
-            ) + thief.engine.surface.prefill(
-                candidate.prompt_tokens
-            ).latency_s
-            donor_lower_bound = max(
-                donor.clock_s, candidate.arrival_s
-            ) + donor.engine.surface.prefill(
-                candidate.prompt_tokens
-            ).latency_s
-            return first_token_thief < donor_lower_bound
-
-        stole = False
-        for thief_id, thief in enumerate(shards):
-            if up is not None and not up[thief_id]:
-                continue
-            if not thief.idle:
-                continue
-            donors = sorted(
-                (d_id for d_id, d in enumerate(shards) if d.n_stealable),
-                key=lambda d_id: (-shards[d_id].n_stealable, d_id),
-            )
-            for donor_id in donors:
-                donor = shards[donor_id]
-                if donor.snapshot(donor_id).n_in_system < 2:
-                    continue  # donor would go idle: nothing gained
-                victim = next(
-                    (
-                        candidate
-                        for candidate in donor.steal_candidates()
-                        if thief.can_ever_admit(candidate)
-                        and helps(thief, donor, candidate)
-                    ),
-                    None,
-                )
-                if victim is None:
-                    continue
-                donor.withdraw(victim.request_id)
-                # The original prediction describes a placement
-                # that will never run; drop it from calibration.
-                pending_predictions.pop(victim.request_id, None)
-                thief.submit(victim)
-                migrate_s = max(thief.clock_s, victim.arrival_s)
-                decisions.append(
-                    RoutingDecision(
-                        victim.request_id,
-                        migrate_s,
-                        thief_id,
-                        migrated_from=donor_id,
-                    )
-                )
-                if obs is not None:
-                    obs.instant(
-                        "MIGRATE", migrate_s, request_id=victim.request_id,
-                        shard_id=thief_id, from_shard=donor_id,
-                    )
-                    obs.count("migrations", thief=thief_id, donor=donor_id)
-                stole = True
-                break
-        return stole
-
-    # ---------------------------------------------------------- resilience
-    def _run_resilient(
-        self,
-        source: RequestSource,
-        initial: Tuple[Request, ...],
-        schedule: FaultSchedule,
-    ) -> FleetReport:
-        """The chaos twin of :meth:`run`: faults, retries and shedding.
-
-        Same two-level discrete-event structure, with a third event
-        stream — the fault heap — merged in at the top of the loop.
-        Ties between a fault and an arrival at the same instant resolve
-        fault-first, so a request never routes to a shard that dies at
-        its own arrival instant, and a parked request waking at a
-        recovery instant finds the shard already up. Everything stays
-        deterministic: fault times come from the seeded schedule, retry
-        jitter from ``(seed, request_id, attempt)``-keyed RNGs, and all
-        tie-breaks are total orders — two same-seed chaos runs produce
-        ``==`` reports.
-        """
-        n_shards = len(self.engines)
-        policy = self.policy
-        policy.reset(n_shards)
-        obs = self.obs
-        retry_policy = self.retry if self.retry is not None else RetryPolicy()
-        shedding = self.shedding if self.shedding is not None else None
-
-        arrivals: List[Tuple[float, int, Request]] = []
-        n_rejected = 0
+        # TTFT on its current shard). Entries are dropped when a steal,
+        # an eviction or a crash moves the request, so completions only
+        # report placements that actually ran.
         pending_predictions: Dict[int, float] = {}
         shards: List[ContinuousBatchingScheduler] = []
 
@@ -846,9 +534,6 @@ class FleetSimulator:
         applied: List[AppliedFault] = []
         up = [True] * n_shards
         down_until_s = [0.0] * n_shards
-        # Cold-start cost per shard, computed once from the engine's
-        # packed weight image (crashes on the same shard re-warm alike).
-        rewarm_by_shard = [rewarm_s(engine) for engine in self.engines]
 
         # The fault event heap: (t, seq, action, shard_id, payload).
         # seq is an insertion counter so equal-time events apply in
@@ -880,48 +565,47 @@ class FleetSimulator:
             nonlocal n_retries
             rid = req.request_id
             eff = retry_policy.effective_deadline_s(req)
+            deadline = origin[rid] + eff if eff is not None else math.inf
             used = attempts.get(rid, 0)
-            if used >= retry_policy.max_retries:
-                # Budget gone. Blame the deadline when it also passed.
-                if eff is not None and t >= origin[rid] + eff:
-                    dispositions[rid] = Disposition.EXPIRED
-                else:
-                    dispositions[rid] = Disposition.LOST
-                if obs is not None:
-                    obs.instant(dispositions[rid].name, t, request_id=rid)
-                    obs.count(f"requests_{dispositions[rid].name.lower()}")
-                return
-            backoff = retry_policy.backoff_s(rid, used + 1)
-            if eff is not None and t + backoff >= origin[rid] + eff:
+            if used < retry_policy.max_retries:
+                backoff = retry_policy.backoff_s(rid, used + 1)
+                if t + backoff < deadline:
+                    attempts[rid] = used + 1
+                    n_retries += 1
+                    resub = replace(req, arrival_s=t + backoff)
+                    heapq.heappush(arrivals, (resub.arrival_s, rid, resub))
+                    if obs is not None:
+                        obs.instant(
+                            "RETRY", t, request_id=rid,
+                            attempt=used + 1, backoff_s=backoff,
+                        )
+                        obs.count("retries")
+                    return
                 # The retry could not even re-enter before the deadline.
-                dispositions[rid] = Disposition.EXPIRED
-                if obs is not None:
-                    obs.instant("EXPIRED", t, request_id=rid)
-                    obs.count("requests_expired")
-                return
-            attempts[rid] = used + 1
-            n_retries += 1
-            resub = replace(req, arrival_s=t + backoff)
-            heapq.heappush(arrivals, (resub.arrival_s, rid, resub))
+                fate = Disposition.EXPIRED
+            else:
+                # Budget gone. Blame the deadline when it also passed.
+                fate = Disposition.EXPIRED if t >= deadline else Disposition.LOST
+            dispositions[rid] = fate
             if obs is not None:
-                obs.instant(
-                    "RETRY", t, request_id=rid,
-                    attempt=used + 1, backoff_s=backoff,
-                )
-                obs.count("retries")
+                obs.instant(fate.name, t, request_id=rid)
+                obs.count(f"requests_{fate.name.lower()}")
 
         def make_harvest(shard_id: int):
-            # Completion hook: record the disposition (exactly once, at
-            # the only instant a request can complete), feed calibration,
-            # then hand any follow-up back to the global router.
+            # Shard completion hook: record the disposition (exactly
+            # once, at the only instant a request can complete), feed
+            # realized TTFT back to the policy, then pull any follow-up
+            # back to the global router instead of letting the shard
+            # keep it.
             def harvest(request: Request, finish_s: float) -> Optional[Request]:
                 nonlocal n_rejected
                 rid = request.request_id
-                dispositions[rid] = (
-                    Disposition.RETRIED
-                    if attempts.get(rid)
-                    else Disposition.OK
-                )
+                if resilient:
+                    dispositions[rid] = (
+                        Disposition.RETRIED
+                        if attempts.get(rid)
+                        else Disposition.OK
+                    )
                 predicted = pending_predictions.pop(rid, None)
                 if predicted is not None:
                     record = shards[shard_id].record_for(rid)
@@ -953,12 +637,24 @@ class FleetSimulator:
                 max_batch=self.max_batch[i],
                 ctx_bucket=self.ctx_bucket[i],
                 on_complete=make_harvest(i),
-                coalesce=self.coalesce,
                 token_events=self.token_events,
                 interpolate=self.interpolate,
                 obs=obs.shard(i) if obs is not None else None,
             )
             for i, engine in enumerate(self.engines)
+        )
+        # Open-loop sources never inject follow-ups, so once the arrival
+        # heap drains the shards are fully independent and each can run
+        # dry in one coalesced advance instead of the boundary-level
+        # stepping closed-loop routing fidelity (and steal checks)
+        # requires. A source is open-loop only when on_complete is the
+        # base-class no-op and no instance-level hook shadows it. The
+        # calendar=False reference walk never takes this shortcut.
+        open_loop = (
+            type(source).on_complete is RequestSource.on_complete
+            and "on_complete" not in getattr(source, "__dict__", {})
+            and not self.steal
+            and self.calendar
         )
 
         seen_ids = set()
@@ -969,33 +665,46 @@ class FleetSimulator:
                 )
             seen_ids.add(req.request_id)
             if not any(s.can_ever_admit(req) for s in shards):
+                # Mirror the single-engine fail-fast: an initial request
+                # that can never run anywhere is a configuration error.
                 shards[0]._check(req)  # raises with the precise reason
             heapq.heappush(arrivals, (req.arrival_s, req.request_id, req))
             if obs is not None:
                 obs.instant("SUBMIT", req.arrival_s, request_id=req.request_id)
 
+        def sync_to(t: float) -> bool:
+            """Advance every live shard to ``t``; False when preempted.
+
+            Steps in flight may overshoot (shards are busy until their
+            clock, which the snapshot exposes). The advance stops the
+            moment a completion injects a follow-up due *before* ``t``:
+            that follow-up must be routed — and submitted to its shard —
+            before any shard simulates past its arrival, or prefills
+            that should preempt in-flight decodes run too late.
+            """
+            preempted = lambda: bool(arrivals) and arrivals[0][0] < t
+            for i, shard in enumerate(shards):
+                if up[i]:
+                    shard.advance_until(t, interrupt=preempted)
+            return not preempted()
+
         decisions: List[RoutingDecision] = []
+        # The drain calendar caches each shard's next-event key with
+        # explicit invalidation: routing, stealing, faults and arrival
+        # syncs mark it stale instead of forcing a full rebuild, and
+        # only changed keys re-enter the heap.
         calendar = _DrainCalendar(shards)
         while True:
             if self.steal and self._steal_pass(
                 shards, decisions, pending_predictions, up, obs=obs
             ):
                 calendar.invalidate_all()
-            t_fault = fault_heap[0][0] if fault_heap else math.inf
-            t_arr = arrivals[0][0] if arrivals else math.inf
-            if t_fault <= t_arr and t_fault < math.inf:
-                if t_arr == math.inf and all(shard.idle for shard in shards):
+            if fault_heap and (not arrivals or fault_heap[0][0] <= arrivals[0][0]):
+                if not arrivals and all(shard.idle for shard in shards):
                     # Nothing in flight and nothing to come: remaining
                     # faults would strike an idle fleet past makespan.
                     break
-                # Advance every live shard to the fault instant first —
-                # bailing out if a completion injects an earlier global
-                # follow-up, which must route before time passes it.
-                preempted = lambda: bool(arrivals) and arrivals[0][0] < t_fault
-                for i, shard in enumerate(shards):
-                    if up[i]:
-                        shard.advance_until(t_fault, interrupt=preempted)
-                if preempted():
+                if not sync_to(fault_heap[0][0]):
                     continue
                 t, _, action, s, payload = heapq.heappop(fault_heap)
                 calendar.invalidate_all()
@@ -1004,7 +713,9 @@ class FleetSimulator:
                         continue  # absorbed: the shard is already down
                     waiting, inflight = shards[s].crash_harvest()
                     up[s] = False
-                    recover_at = t + payload + rewarm_by_shard[s]
+                    # EdgeFlow-style cold start: the shard re-streams its
+                    # packed weight image before serving again.
+                    recover_at = t + payload + rewarm_s(self.engines[s])
                     down_until_s[s] = recover_at
                     push_fault(recover_at, "recover", s, None)
                     lost = sum(gen for _, gen in inflight)
@@ -1052,47 +763,48 @@ class FleetSimulator:
             if arrivals:
                 calendar.invalidate_all()
                 t, request_id, req = heapq.heappop(arrivals)
-                preempted = lambda: bool(arrivals) and arrivals[0][0] < t
-                for i, shard in enumerate(shards):
-                    if up[i]:
-                        shard.advance_until(t, interrupt=preempted)
-                if preempted():
+                # No live shard may lag the routing instant.
+                if not sync_to(t):
+                    # Route the earlier follow-up first; the popped
+                    # arrival goes back and re-advances from here.
                     heapq.heappush(arrivals, (t, request_id, req))
                     continue
-                feasible_ids = [
-                    i for i, shard in enumerate(shards)
-                    if shard.can_ever_admit(req)
+                # Circuit breaker: down shards take no traffic.
+                feasible = [
+                    shard.snapshot(i)
+                    for i, shard in enumerate(shards)
+                    if up[i] and shard.can_ever_admit(req)
                 ]
-                # Circuit breaker: down shards take no traffic. When
-                # *every* feasible shard is down, park the request until
-                # the first of them recovers (its arrival_s is kept, so
-                # the wait counts against its TTFT honestly).
-                live = [i for i in feasible_ids if up[i]]
-                if not live:
-                    wake = min(down_until_s[i] for i in feasible_ids)
+                if not feasible:
+                    # Every feasible shard is down: park the request
+                    # until the first of them recovers (its arrival_s is
+                    # kept, so the wait counts against its TTFT honestly).
+                    wake = min(
+                        down_until_s[i]
+                        for i, shard in enumerate(shards)
+                        if shard.can_ever_admit(req)
+                    )
                     heapq.heappush(arrivals, (max(wake, t), request_id, req))
                     continue
                 origin.setdefault(request_id, req.arrival_s)
-                eff = retry_policy.effective_deadline_s(req)
-                if eff is not None and attempts.get(request_id):
-                    # A retry's deadline budget counts from its FIRST
-                    # arrival, not the resubmission instant.
-                    eff = origin[request_id] + eff - req.arrival_s
-                feasible = [shards[i].snapshot(i) for i in live]
-                if shedding is not None and shedding.reject(
-                    req, t, feasible, eff
-                ):
-                    dispositions[request_id] = Disposition.SHED
-                    if obs is not None:
-                        obs.instant(
-                            "SHED", t, request_id=request_id, reason="rejected"
-                        )
-                        obs.count("requests_shed", reason="rejected")
-                    continue
+                if shedding is not None:
+                    eff = retry_policy.effective_deadline_s(req)
+                    if eff is not None and attempts.get(request_id):
+                        # A retry's deadline budget counts from its FIRST
+                        # arrival, not the resubmission instant.
+                        eff = origin[request_id] + eff - req.arrival_s
+                    if shedding.reject(req, t, feasible, eff):
+                        dispositions[request_id] = Disposition.SHED
+                        if obs is not None:
+                            obs.instant(
+                                "SHED", t, request_id=request_id,
+                                reason="rejected",
+                            )
+                            obs.count("requests_shed", reason="rejected")
+                        continue
                 choice = policy.route(req, t, feasible)
                 chosen = next(
-                    (snap for snap in feasible if snap.shard_id == choice),
-                    None,
+                    (snap for snap in feasible if snap.shard_id == choice), None
                 )
                 if chosen is None:
                     raise ConfigError(
@@ -1125,15 +837,32 @@ class FleetSimulator:
                         policy=policy.name, predicted_ttft_s=predicted,
                     )
                     obs.count("requests_routed", shard=choice)
+            elif open_loop:
+                # Open-loop fast path: no follow-ups can ever appear and
+                # the fault branch above has already fired every fault,
+                # so each shard runs dry independently in one coalesced
+                # advance.
+                busy = [shard for shard in shards if not shard.idle]
+                if not busy:
+                    break
+                for shard in busy:
+                    shard.advance_until(math.inf)
             elif self.calendar:
-                # Event-calendar drain, as in run(); down shards are
-                # idle (harvested) so they never enter the calendar.
+                # Event-calendar drain: pop the globally next-acting
+                # shard and advance it in one coalesced pass up to the
+                # runner-up's key, bailing out the moment a completion
+                # injects a global follow-up — so closed-loop arrivals
+                # re-enter routing at exactly the same instant the
+                # reference walk would surface them. Down shards are
+                # idle (harvested), so they never enter the calendar.
                 nxt = calendar.pop()
                 if nxt is None:
                     break
                 key, idx, horizon = nxt
                 shard = shards[idx]
                 if key >= horizon:
+                    # Exact tie with the runner-up: run one iteration,
+                    # matching the reference walk's id-ordered pick.
                     shard.advance_one()
                 else:
                     shard.advance_until(
@@ -1141,32 +870,42 @@ class FleetSimulator:
                     )
                 calendar.reschedule(idx)
             else:
+                # Reference drain: step the globally next-acting busy
+                # shard one iteration at a time, so a completion's
+                # closed-loop follow-up re-enters global routing
+                # immediately — not after every shard has already
+                # simulated past it. This keeps a one-shard closed-loop
+                # fleet identical to single-engine serving and routing
+                # snapshots honest. The calendar path above executes
+                # the identical iteration sequence in coalesced runs.
                 busy = [shard for shard in shards if not shard.idle]
                 if not busy:
                     break
                 min(busy, key=lambda shard: shard.next_event_s()).advance_one()
 
         shard_results = tuple(shard.result() for shard in shards)
-        # Availability accounting in absolute time: the run spans the
-        # first arrival to the last shard clock; each crash's down
-        # window is clipped to that span.
-        start_s = min(req.arrival_s for req in initial)
-        end_s = max(shard.clock_s for shard in shards)
-        makespan = max(0.0, end_s - start_s)
-        downtime = [0.0] * n_shards
-        for fault in applied:
-            if fault.kind is FaultKind.CRASH:
-                lo = min(max(fault.at_s, start_s), end_s)
-                hi = min(max(fault.until_s, start_s), end_s)
-                downtime[fault.shard_id] += hi - lo
-        resilience = ResilienceReport.build(
-            dispositions=dispositions,
-            n_retries=n_retries,
-            lost_generated_tokens=lost_tokens,
-            faults=applied,
-            shard_downtime_s=downtime,
-            makespan_s=makespan,
-        )
+        resilience = None
+        if resilient:
+            # Availability accounting in absolute time: the run spans
+            # the first arrival to the last shard clock; each crash's
+            # down window is clipped to that span.
+            start_s = min(req.arrival_s for req in initial)
+            end_s = max(shard.clock_s for shard in shards)
+            makespan = max(0.0, end_s - start_s)
+            downtime = [0.0] * n_shards
+            for fault in applied:
+                if fault.kind is FaultKind.CRASH:
+                    lo = min(max(fault.at_s, start_s), end_s)
+                    hi = min(max(fault.until_s, start_s), end_s)
+                    downtime[fault.shard_id] += hi - lo
+            resilience = ResilienceReport.build(
+                dispositions=dispositions,
+                n_retries=n_retries,
+                lost_generated_tokens=lost_tokens,
+                faults=applied,
+                shard_downtime_s=downtime,
+                makespan_s=makespan,
+            )
         result = FleetResult(
             model_name=self.engines[0].model.name,
             policy_name=policy.name,
@@ -1184,3 +923,93 @@ class FleetSimulator:
             resilience=resilience,
             obs=obs.build() if obs is not None else None,
         )
+
+    @staticmethod
+    def _steal_pass(
+        shards: List[ContinuousBatchingScheduler],
+        decisions: List[RoutingDecision],
+        pending_predictions: Dict[int, float],
+        up: List[bool],
+        obs: Optional[FleetObserver] = None,
+    ) -> bool:
+        """Idle thieves pull waiting work off backlogged donors.
+
+        Deterministic: thieves are visited in ascending shard id;
+        each scans donors by (deepest stealable backlog, lowest id)
+        and takes the *oldest* still-waiting request it could ever
+        admit — the one with the worst accumulated wait, whose
+        departure also shortens the queue for everything behind it
+        — provided the donor stays non-idle after losing it and
+        the move is profitable: the idle thief's first-token
+        instant (its clock plus its surface's prefill) must beat a
+        *lower bound* on the donor's (busy-until plus the donor's
+        prefill, ignoring the donor's queue), so work never
+        migrates onto a shard slow enough to make the wait look
+        good. One steal per thief per pass (the thief is busy
+        afterwards). Returns whether anything moved.
+
+        ``up`` masks crashed shards: a down shard is "idle" because
+        its queue was harvested, not because it has capacity — it
+        must neither steal nor donate (it holds nothing to donate
+        anyway).
+        """
+
+        def helps(thief, donor, candidate):
+            first_token_thief = max(
+                thief.clock_s, candidate.arrival_s
+            ) + thief.engine.surface.prefill(
+                candidate.prompt_tokens
+            ).latency_s
+            donor_lower_bound = max(
+                donor.clock_s, candidate.arrival_s
+            ) + donor.engine.surface.prefill(
+                candidate.prompt_tokens
+            ).latency_s
+            return first_token_thief < donor_lower_bound
+
+        stole = False
+        for thief_id, thief in enumerate(shards):
+            if not up[thief_id] or not thief.idle:
+                continue
+            donors = sorted(
+                (d_id for d_id, d in enumerate(shards) if d.n_stealable),
+                key=lambda d_id: (-shards[d_id].n_stealable, d_id),
+            )
+            for donor_id in donors:
+                donor = shards[donor_id]
+                if donor.snapshot(donor_id).n_in_system < 2:
+                    continue  # donor would go idle: nothing gained
+                victim = next(
+                    (
+                        candidate
+                        for candidate in donor.steal_candidates()
+                        if thief.can_ever_admit(candidate)
+                        and helps(thief, donor, candidate)
+                    ),
+                    None,
+                )
+                if victim is None:
+                    continue
+                donor.withdraw(victim.request_id)
+                # The original prediction describes a placement
+                # that will never run; drop it from calibration.
+                pending_predictions.pop(victim.request_id, None)
+                thief.submit(victim)
+                migrate_s = max(thief.clock_s, victim.arrival_s)
+                decisions.append(
+                    RoutingDecision(
+                        victim.request_id,
+                        migrate_s,
+                        thief_id,
+                        migrated_from=donor_id,
+                    )
+                )
+                if obs is not None:
+                    obs.instant(
+                        "MIGRATE", migrate_s, request_id=victim.request_id,
+                        shard_id=thief_id, from_shard=donor_id,
+                    )
+                    obs.count("migrations", thief=thief_id, donor=donor_id)
+                stole = True
+                break
+        return stole

@@ -13,10 +13,16 @@ field for field.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import ClosedLoopSource, ServingSimulator
+from repro.serving import (
+    ClosedLoopSource,
+    ContinuousBatchingScheduler,
+    ServingSimulator,
+)
 from repro.fleet import FleetSimulator
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -173,3 +179,30 @@ class TestStealingEquivalence:
             steal=True,
         )
         _assert_identical(reference, calendar)
+
+
+class TestReferenceWalkIsPure:
+    def test_reference_walk_never_takes_open_loop_shortcut(
+        self, fast_engine, shard_budget, make_stream, monkeypatch
+    ):
+        # The open-loop shortcut drains each shard with one
+        # advance_until(inf). The reference walk must step every
+        # iteration itself, or the open-loop equivalence tests above
+        # would compare the shortcut against itself.
+        horizons = []
+        advance_until = ContinuousBatchingScheduler.advance_until
+
+        def spy(self, t_s=math.inf, interrupt=None):
+            horizons.append(t_s)
+            return advance_until(self, t_s, interrupt)
+
+        monkeypatch.setattr(ContinuousBatchingScheduler, "advance_until", spy)
+        for calendar in (True, False):
+            horizons.clear()
+            FleetSimulator(
+                [fast_engine, fast_engine],
+                kv_budget_bytes=shard_budget,
+                max_batch=8,
+                calendar=calendar,
+            ).run(make_stream("poisson", n=16))
+            assert (math.inf in horizons) is calendar

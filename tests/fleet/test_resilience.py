@@ -3,9 +3,10 @@
 The two contracts everything else rests on:
 
 1. **Zero-fault bit-identity** — a fleet that schedules no faults, no
-   retry policy and no shedding takes the *legacy* code path, whatever
-   spelling of "no faults" it was given. Anyone diffing fleet results
-   across the chaos layer's introduction must see zero drift.
+   retry policy and no shedding reports ``resilience=None``, whatever
+   spelling of "no faults" it was given, and arming a retry policy
+   without faults adds the resilience block but moves no modeled
+   number. The one fleet event loop carries both cases.
 2. **Replayable chaos** — one seed, one schedule, one timeline: two
    identical chaotic runs compare ``==`` down to the disposition
    ledger, and no module in the serving/fleet stack consults unseeded
@@ -35,7 +36,7 @@ from repro.fleet import (
     RetryPolicy,
     ShardFault,
 )
-from repro.serving import bursty_stream
+from repro.serving import ClosedLoopSource, bursty_stream
 
 seeds = st.integers(0, 2**16)
 
@@ -99,8 +100,8 @@ class TestZeroFaultBitIdentity:
         self, fast_engine, slow_engine, shard_budget, make_stream,
         seed, kind, policy,
     ):
-        """faults=None, FaultSchedule.none() and "none" all take the
-        legacy path: same report, field for field, no resilience block."""
+        """faults=None, FaultSchedule.none() and "none" all produce the
+        same report, field for field, with no resilience block."""
         engines = [fast_engine, slow_engine]
         reports = [
             _fleet(engines, shard_budget, policy=policy, faults=spelling).run(
@@ -111,20 +112,53 @@ class TestZeroFaultBitIdentity:
         assert reports[0] == reports[1] == reports[2]
         assert all(r.resilience is None for r in reports)
 
-    def test_retry_only_runs_match_legacy_metrics(
-        self, fast_engine, slow_engine, shard_budget, make_stream
+    @given(
+        seeds,
+        st.sampled_from(["poisson", "bursty", "closed-loop"]),
+        st.sampled_from(
+            ["round-robin", "jsq", "predicted-latency", "calibrated-latency"]
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_retry_only_runs_match_plain_runs(
+        self, fast_engine, slow_engine, shard_budget, make_stream,
+        prompt_dist, output_dist, seed, kind, policy, steal, calendar,
     ):
         """A retry policy with no faults scheduled changes accounting
         (a resilience block appears, everything OK) but not a single
-        modeled number."""
-        engines = [fast_engine, slow_engine]
-        legacy = _fleet(engines, shard_budget).run(make_stream("bursty", n=16))
-        chaotic = _fleet(
-            engines, shard_budget, retry=RetryPolicy(max_retries=2)
-        ).run(make_stream("bursty", n=16))
-        assert chaotic.metrics == legacy.metrics
-        assert chaotic.result.decisions == legacy.result.decisions
-        res = _counts(chaotic)
+        decision, record, event or modeled number."""
+
+        def src():
+            if kind == "closed-loop":
+                return ClosedLoopSource(
+                    n_users=4, total_requests=14, think_time_s=0.001,
+                    prompt_dist=prompt_dist, output_dist=output_dist,
+                    seed=seed,
+                )
+            return make_stream(kind, n=16, seed=seed)
+
+        engines = [fast_engine, slow_engine, fast_engine]
+        kw = dict(policy=policy, steal=steal, calendar=calendar)
+        plain = _fleet(engines, shard_budget, **kw).run(src())
+        retried = _fleet(
+            engines, shard_budget, retry=RetryPolicy(max_retries=2), **kw
+        ).run(src())
+        assert retried.result.decisions == plain.result.decisions
+        for r_shard, p_shard in zip(
+            retried.result.shard_results, plain.result.shard_results
+        ):
+            assert r_shard.records == p_shard.records
+            assert r_shard.events == p_shard.events
+        assert retried.metrics == plain.metrics
+        assert retried.shard_metrics == plain.shard_metrics
+        assert (
+            retried.result.n_rejected_followups
+            == plain.result.n_rejected_followups
+        )
+        assert plain.resilience is None
+        res = _counts(retried)
         assert res.n_ok == res.n_submitted
         assert res.availability == 1.0
 
