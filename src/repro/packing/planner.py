@@ -127,16 +127,9 @@ class PackingPlanner:
         shape = weight_shape_for_op(model, kind)
         profile = profile_for_op(kind, rep_layer, model.n_layers)
         cfg = self.config
-        key = (
-            shape,
-            profile.cache_key(),
-            cfg.chunk_size,
-            cfg.packet_size,
-            cfg.level,
-            cfg.n_modes,
-            cfg.optimize_modes,
-            self.base_seed,
-        )
+        # The key names every input of the stats, and the seed is drawn
+        # from the same fields: one key, one matrix, in every process.
+        key = (model.name, shape, profile.cache_key(), cfg, self.base_seed)
         cached = _STATS_CACHE.get(key)
         if cached is not None:
             return cached
@@ -146,7 +139,7 @@ class PackingPlanner:
             stats = WeightTransferStats(raw_bits=disk_hit[0], packed_bits=disk_hit[1])
             _STATS_CACHE[key] = stats
             return stats
-        seed = stable_seed(model.name, kind.value, rep_layer, self.base_seed)
+        seed = stable_seed(model.name, *shape, *profile.cache_key(), self.base_seed)
         w = generate_int8_weights(shape, profile, seed=seed)
         stats = WeightTransferStats(
             raw_bits=w.size * 8, packed_bits=packed_size_bits(w, cfg)

@@ -212,10 +212,10 @@ class TestGoldenPareto:
     """
 
     GOLDEN = {
-        (1, "round-robin"): (5463.184162257127, 0.0010955888266666657),
-        (1, "predicted-latency"): (5463.184162257127, 0.0010955888266666657),
-        (2, "round-robin"): (3968.5942411559367, 0.005468125759999999),
-        (2, "predicted-latency"): (5470.076561747375, 0.0010465452133333307),
+        (1, "round-robin"): (5462.4602921155665, 0.001096964826666666),
+        (1, "predicted-latency"): (5462.4602921155665, 0.001096964826666666),
+        (2, "round-robin"): (3961.383485757438, 0.005524060160000003),
+        (2, "predicted-latency"): (5469.372852102484, 0.0010478816533333313),
     }
     GOLDEN_FRONT = [(2, "predicted-latency")]
 

@@ -16,6 +16,9 @@ Re-record (only when a fidelity change is intentional)::
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,40 @@ def test_modeled_numbers_match_goldens():
 def test_goldens_are_deterministic():
     # The guard is only as strong as the numbers are reproducible.
     assert compute_goldens() == compute_goldens()
+
+
+_PROBE = (
+    "from repro import MeadowEngine, OPT_125M, zcu102_config\n"
+    "engine = MeadowEngine(OPT_125M, zcu102_config(12.0))\n"
+    "print(engine.packing_summary(), repr(engine.surface.prefill(128)))\n"
+)
+
+
+def test_numbers_independent_of_hash_seed_and_tmpdir(tmp_path):
+    """Two fresh interpreters with different hash seeds and private temp
+    directories model the same packing and latency: the numbers are a
+    pure function of their inputs, never of set order or of a file some
+    earlier process left behind."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    procs = []
+    for hash_seed in ("0", "1"):
+        tmp = tmp_path / f"tmp-{hash_seed}"
+        tmp.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, TMPDIR=str(tmp))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _PROBE], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ))
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outputs.append(out)
+    assert "PackingSummary" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":
