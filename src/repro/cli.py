@@ -288,19 +288,17 @@ def _interp_args(p: argparse.ArgumentParser) -> None:
 def _store_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surface-store", nargs="?", const=DEFAULT_STORE_DIR,
                    default=None, metavar="DIR",
-                   help="warm-start latency surfaces from this directory "
-                        "and append new points back after the run "
-                        f"(bare flag uses ./{DEFAULT_STORE_DIR}); numbers "
-                        "are bit-identical with or without the store — "
-                        "it only skips re-simulating known points")
-    p.add_argument("--no-surface-store", action="store_true",
-                   help="force the store off even when --surface-store "
-                        "is set (e.g. by a wrapper script)")
+                   help="warm-start latency surfaces and packing "
+                        "summaries from this directory and append new "
+                        "points back after the run (bare flag uses "
+                        f"./{DEFAULT_STORE_DIR}); numbers are bit-identical "
+                        "with or without the store — it only skips "
+                        "re-simulating known points and re-packing weights")
 
 
 def _make_store(args: argparse.Namespace):
     """A SurfaceStore when requested, else None (store fully off)."""
-    if args.no_surface_store or args.surface_store is None:
+    if args.surface_store is None:
         return None
     from .sim.surface_store import SurfaceStore
 

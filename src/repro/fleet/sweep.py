@@ -20,8 +20,8 @@ smoke job validates.
 
 Grid points are independent, so :meth:`SweepDriver.sweep` can fan them
 out across a ``ProcessPoolExecutor`` (``workers=N``). The parent
-broadcasts its warm :class:`~repro.sim.surface.LatencySurface` dumps to
-each worker once at pool start, workers ship back only the surface
+broadcasts its warm :class:`~repro.sim.surface.LatencySurface` points
+to each worker once at pool start, workers ship back only the surface
 points they newly discover with each result, and the parent merges those
 deltas — so later grid points still benefit from earlier points' work,
 just like the serial walk. Results are bit-identical to the serial walk
@@ -468,8 +468,8 @@ class SweepDriver:
         """Fan the grid over a process pool; bit-identical to serial.
 
         The parent pre-materializes every engine the grid can touch and
-        broadcasts their surface dumps through the pool initializer, so
-        children start as warm as the parent. Each task returns its
+        broadcasts their exported surface points through the pool
+        initializer, so children start as warm as the parent. Each task returns its
         :class:`SweepPoint` plus the surface points that worker
         discovered since it last shipped any; the parent merges the
         deltas so the warm cache survives the sweep exactly as in the
@@ -486,7 +486,7 @@ class SweepDriver:
             self.bandwidths_gbps,
             self.kv_budget_bytes,
             {
-                bandwidth: engine.surface.to_json()
+                bandwidth: engine.surface.export_points()
                 for bandwidth, engine in self._engines.items()
             },
         )
@@ -619,16 +619,16 @@ def _init_sweep_worker(
         MeadowEngine,
         Tuple[float, ...],
         Optional[Tuple[Optional[int], ...]],
-        Mapping[float, Mapping[str, Any]],
+        Mapping[float, List[Dict[str, Any]]],
     ],
 ) -> None:
     global _WORKER_DRIVER, _WORKER_SHIPPED
-    base_engine, bandwidths_gbps, kv_budget_bytes, surface_dumps = payload
+    base_engine, bandwidths_gbps, kv_budget_bytes, surface_points = payload
     _WORKER_DRIVER = SweepDriver(base_engine, bandwidths_gbps, kv_budget_bytes)
     _WORKER_SHIPPED = {}
-    for bandwidth, dump in surface_dumps.items():
+    for bandwidth, entries in surface_points.items():
         engine = _WORKER_DRIVER.engine_for(bandwidth)
-        engine.load_surface(dump)
+        engine.surface.merge_points(entries)
         _WORKER_SHIPPED[bandwidth] = engine.surface.point_keys()
 
 

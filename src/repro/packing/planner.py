@@ -3,8 +3,10 @@
 The performance model needs one number per weight matrix: how many bits
 cross the DRAM interface when the matrix is fetched packed. Measuring it
 means generating the synthetic matrix and running the packer — cheap once
-but wasteful inside bandwidth sweeps, so the planner caches results keyed
-by (shape, distribution, packing config).
+but wasteful inside bandwidth sweeps, so the planner memoizes results in
+process, keyed by everything that decides them (model, shape,
+distribution, packing config, seed). Nothing is written to disk: the
+persistent layer is :class:`~repro.sim.surface_store.SurfaceStore`.
 
 Because the synthetic profile varies smoothly with layer depth, large
 models can optionally quantize depth into a few buckets (default 4),
@@ -14,11 +16,7 @@ the depth trend of Fig. 4a.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
@@ -34,39 +32,6 @@ from .pipeline import PackingConfig, packed_size_bits
 __all__ = ["WeightTransferStats", "PackingPlanner"]
 
 _STATS_CACHE: Dict[Tuple, "WeightTransferStats"] = {}
-
-_DISK_CACHE_PATH = Path(
-    os.environ.get(
-        "REPRO_PACKING_CACHE",
-        os.path.join(tempfile.gettempdir(), "repro_meadow_packing_stats.json"),
-    )
-)
-_DISK_CACHE: Dict[str, Tuple[int, int]] | None = None
-
-
-def _disk_cache() -> Dict[str, Tuple[int, int]]:
-    """Lazily load the cross-process packed-size cache (best effort)."""
-    global _DISK_CACHE
-    if _DISK_CACHE is None:
-        try:
-            with open(_DISK_CACHE_PATH, "r", encoding="utf-8") as fh:
-                _DISK_CACHE = {k: tuple(v) for k, v in json.load(fh).items()}
-        except (OSError, ValueError):
-            _DISK_CACHE = {}
-    return _DISK_CACHE
-
-
-def _disk_cache_store(key: str, stats: "WeightTransferStats") -> None:
-    """Persist one entry; failures are silently ignored (cache only)."""
-    cache = _disk_cache()
-    cache[key] = (stats.raw_bits, stats.packed_bits)
-    try:
-        tmp = str(_DISK_CACHE_PATH) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh)
-        os.replace(tmp, _DISK_CACHE_PATH)
-    except OSError:
-        pass
 
 
 @dataclass(frozen=True)
@@ -133,19 +98,12 @@ class PackingPlanner:
         cached = _STATS_CACHE.get(key)
         if cached is not None:
             return cached
-        disk_key = repr(key)
-        disk_hit = _disk_cache().get(disk_key)
-        if disk_hit is not None:
-            stats = WeightTransferStats(raw_bits=disk_hit[0], packed_bits=disk_hit[1])
-            _STATS_CACHE[key] = stats
-            return stats
         seed = stable_seed(model.name, *shape, *profile.cache_key(), self.base_seed)
         w = generate_int8_weights(shape, profile, seed=seed)
         stats = WeightTransferStats(
             raw_bits=w.size * 8, packed_bits=packed_size_bits(w, cfg)
         )
         _STATS_CACHE[key] = stats
-        _disk_cache_store(disk_key, stats)
         return stats
 
     def effective_bits_table(
@@ -169,13 +127,6 @@ class PackingPlanner:
             }
             self._bits_tables[model] = table
         return table
-
-    def layer_packed_bits(self, model: TransformerConfig, layer_index: int) -> int:
-        """Packed bits of all six weight matrices of one layer."""
-        return sum(
-            self.stats_for(model, kind, layer_index).effective_bits
-            for kind in sorted(WEIGHT_OP_KINDS, key=lambda k: k.value)
-        )
 
     def model_compression(self, model: TransformerConfig) -> float:
         """Whole-model raw/packed ratio (the average packing win)."""

@@ -305,8 +305,8 @@ class ContinuousBatchingScheduler:
 
     Args:
         engine: the deployed model/hardware/plan to serve on. All
-            concurrent requests share its packing planner and memoized
-            stage reports (:meth:`MeadowEngine.simulate_cached`).
+            concurrent requests share its packing planner and latency
+            surface (:attr:`MeadowEngine.surface`).
         source: scenario generator (open- or closed-loop). Optional —
             an externally driven scheduler (a fleet shard) passes
             ``None`` and feeds requests through :meth:`submit` instead.

@@ -28,7 +28,7 @@ whenever the bracketing points disagree by more than the bound. Because
 every scalar is monotone in context length between two exact points, the
 true value lies inside the bracket, so a guarded interpolated value is
 within ``interp_rel_err`` of the exact simulation. Interpolated points
-are marked ``exact=False``, cached separately, and never serialized —
+are marked ``exact=False``, cached separately, and never exported —
 the exact table stays bit-identical whether or not anyone interpolated.
 """
 
@@ -55,13 +55,7 @@ from ..utils import ceil_div
 from .breakdown import StageReport
 from .layer_sim import WorkloadSimulator
 
-__all__ = ["SURFACE_SCHEMA_VERSION", "SurfacePoint", "LatencySurface"]
-
-#: Version stamped into serialized surfaces; bump on any schema change
-#: so stale dumps fail loudly instead of silently misloading. (The
-#: optional ``n_points`` integrity count is additive: v1 dumps without
-#: it still load.)
-SURFACE_SCHEMA_VERSION = 1
+__all__ = ["SurfacePoint", "LatencySurface"]
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ class LatencySurface:
         self._axes: Dict[Tuple[Stage, int], List[int]] = {}
         # Interpolated estimates, keyed like exact points but kept in a
         # separate table: they never shadow exact entries and never
-        # serialize, so the exact table stays bit-identical regardless
+        # export, so the exact table stays bit-identical regardless
         # of whether anyone interpolated.
         self._interp_cache: Dict[Tuple[Stage, int, int], SurfacePoint] = {}
         self.interp_rel_err = interp_rel_err
@@ -396,8 +390,11 @@ class LatencySurface:
     ) -> List[Dict[str, Any]]:
         """JSON entries for exact points whose keys are not in ``exclude``.
 
-        Entries use the :meth:`to_json` point schema and are emitted in
-        sorted key order for deterministic payloads.
+        Each entry holds a point's key and its three scalars; floats
+        round-trip exactly through ``json``, so merged points are
+        bit-identical to re-simulated ones. Entries are emitted in
+        sorted key order for deterministic payloads. Interpolated
+        estimates are never exported.
         """
         return [
             {
@@ -431,77 +428,6 @@ class LatencySurface:
                 self._register(key, point)
                 added += 1
         return added
-
-    # -------------------------------------------------------- serialization
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-serializable dump of every materialized point.
-
-        The dump is a few floats per point (a whole serving stream's
-        surface is KBs), versioned, and keyed to the producing model so
-        a load against the wrong deployment fails instead of silently
-        serving another config's latencies. Floats round-trip exactly
-        through ``json`` (shortest-repr encoding), so a loaded surface
-        is bit-identical to a re-simulated one. Points are emitted in
-        sorted (stage, tokens, batch) order for byte-stable dumps, with
-        an ``n_points`` count so truncated dumps fail loudly on load.
-        Interpolated estimates are never serialized.
-        """
-        return {
-            "version": SURFACE_SCHEMA_VERSION,
-            "model": self._sim.model.name,
-            "plan": self._sim.plan.name,
-            "n_points": len(self._points),
-            "points": self.export_points(),
-        }
-
-    @classmethod
-    def from_json(
-        cls, data: Mapping[str, Any], simulator: WorkloadSimulator
-    ) -> "LatencySurface":
-        """Rebuild a surface from :meth:`to_json` output.
-
-        The surface binds to ``simulator`` for future misses; loaded
-        points fill the table directly, so sweeps and notebooks skip
-        simulation entirely for every dumped operating point. Raises
-        :class:`SimulationError` on version or model mismatch — a dump
-        only speaks for the (model, plan) that produced it — and on a
-        missing, truncated, or malformed point table.
-        """
-        version = data.get("version")
-        if version != SURFACE_SCHEMA_VERSION:
-            raise SimulationError(
-                f"surface dump version {version!r} is not the supported "
-                f"version {SURFACE_SCHEMA_VERSION}"
-            )
-        if data.get("model") != simulator.model.name:
-            raise SimulationError(
-                f"surface dump was produced for model {data.get('model')!r}, "
-                f"not {simulator.model.name!r}"
-            )
-        if data.get("plan") != simulator.plan.name:
-            raise SimulationError(
-                f"surface dump was produced for plan {data.get('plan')!r}, "
-                f"not {simulator.plan.name!r}"
-            )
-        points = data.get("points")
-        if not isinstance(points, list):
-            raise SimulationError("surface dump has no point table")
-        expected = data.get("n_points")
-        if expected is not None and expected != len(points):
-            raise SimulationError(
-                f"surface dump point table is truncated: header says "
-                f"{expected} points but {len(points)} are present"
-            )
-        surface = cls(simulator)
-        for index, entry in enumerate(points):
-            try:
-                point = _parse_point_entry(entry)
-            except SimulationError as exc:
-                raise SimulationError(
-                    f"surface dump point {index} is malformed: {exc}"
-                ) from None
-            surface._register((point.stage, point.tokens, point.batch), point)
-        return surface
 
 
 def _parse_point_entry(entry: Mapping[str, Any]) -> SurfacePoint:

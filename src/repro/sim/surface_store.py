@@ -1,14 +1,14 @@
 """Persistent, engine-fingerprint-keyed store of latency surfaces.
 
-Every fresh CLI invocation or sweep used to re-simulate operating
-points a previous run had already computed. The store makes surfaces
-outlive the process: one JSON file per *engine fingerprint* — a hash of
-everything that determines the numbers (model, hardware config,
-execution plan, packing-planner signature, schema versions) — holding
-that engine's exact-point table. Callers warm-start by merging the
-file's points into a fresh surface and append new discoveries back
-with an atomic read-merge-replace, so concurrent writers can only lose
-a few freshly simulated points, never corrupt the file.
+The only layer that persists modeled numbers across processes: one
+JSON file per *engine fingerprint* — a hash of everything that
+determines the numbers (model, hardware config, execution plan,
+packing planner, fidelity and schema versions) — holding that engine's
+exact-point table and whole-model packing summary, so a rerun neither
+re-simulates nor re-packs. Callers warm-start by merging the file into
+a fresh engine and append new discoveries back with an atomic
+read-merge-replace, so concurrent writers can only lose a few freshly
+simulated points, never corrupt the file.
 
 Failure policy: the store is a cache, not a source of truth. *Every*
 failure path — unreadable directory, corrupt or truncated JSON, schema
@@ -32,19 +32,26 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from .surface import SURFACE_SCHEMA_VERSION
+from ..errors import SimulationError
 
 __all__ = [
+    "FIDELITY_VERSION",
     "STORE_SCHEMA_VERSION",
     "DEFAULT_STORE_DIR",
     "SurfaceStore",
     "engine_fingerprint",
 ]
 
-#: Version of the per-file store envelope (not the surface dump inside
-#: it — that carries its own ``SURFACE_SCHEMA_VERSION``). Bump on any
-#: envelope change so stale files are skipped, not misread.
-STORE_SCHEMA_VERSION = 1
+#: Version of the per-file store envelope. Bump on any envelope change
+#: so stale files are skipped, not misread.
+STORE_SCHEMA_VERSION = 2
+
+#: Version of the modeled numbers themselves. Bump it whenever a change
+#: to the latency, energy or packing model re-records the goldens in
+#: ``tests/integration/golden_model_numbers.json`` (which records this
+#: value): every store file written by the old model then stops
+#: matching any engine's fingerprint instead of serving stale numbers.
+FIDELITY_VERSION = 1
 
 #: Where the CLIs put the store when ``--surface-store`` is passed
 #: without a directory.
@@ -70,23 +77,26 @@ def _canon(value: Any) -> Any:
 def engine_fingerprint(engine) -> str:
     """Hex digest naming everything that determines an engine's numbers.
 
-    Two engines share a fingerprint iff their surfaces are
-    interchangeable: same model, same hardware config, same execution
-    plan, same packing-planner signature (``depth_buckets`` changes the
-    modeled numbers, so a custom planner changes the fingerprint), and
-    same schema versions. Truncated to 16 hex chars — collision odds
-    are negligible at fleet scale and the filenames stay readable.
+    Two engines share a fingerprint iff their surfaces and packing
+    summaries are interchangeable: same model, same hardware config,
+    same execution plan, same packing planner (its whole
+    ``PackingConfig``, ``depth_buckets`` and ``base_seed`` all change
+    the modeled numbers), and same fidelity and schema versions.
+    Truncated to 16 hex chars — collision odds are negligible at fleet
+    scale and the filenames stay readable.
     """
     planner = engine.planner
     payload = {
         "store_version": STORE_SCHEMA_VERSION,
-        "surface_version": SURFACE_SCHEMA_VERSION,
+        "fidelity_version": FIDELITY_VERSION,
         "model": _canon(engine.model),
         "hardware": _canon(engine.config),
         "plan": _canon(engine.plan),
         "planner": None if planner is None else {
             "type": type(planner).__name__,
+            "config": _canon(planner.config),
             "depth_buckets": planner.depth_buckets,
+            "base_seed": planner.base_seed,
         },
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -113,9 +123,10 @@ class SurfaceStore:
         """Validated store envelope for a fingerprint, or None.
 
         Warns and returns None on any defect: unreadable file, corrupt
-        JSON, a non-object payload, envelope version drift, or a
-        foreign fingerprint (a file copied or renamed across engines
-        must not leak another deployment's numbers).
+        JSON, a non-object payload, envelope version drift, a foreign
+        fingerprint (a file copied or renamed across engines must not
+        leak another deployment's numbers), or a missing or truncated
+        point table.
         """
         path = self.path_for(fingerprint)
         try:
@@ -145,59 +156,68 @@ class SurfaceStore:
                 f"{doc.get('fingerprint')!r}, expected {fingerprint!r}"
             )
             return None
-        if not isinstance(doc.get("surface"), dict):
-            self._warn(f"surface store file {path} has no surface payload")
+        points = doc.get("points")
+        if not isinstance(points, list):
+            self._warn(f"surface store file {path} has no point table")
+            return None
+        if doc.get("n_points") != len(points):
+            self._warn(
+                f"surface store file {path} is truncated: header says "
+                f"{doc.get('n_points')!r} points, {len(points)} present"
+            )
             return None
         return doc
 
-    def load(self, engine) -> int:
-        """Warm-start an engine's surface from the store.
+    def _merge(self, engine, doc: Dict[str, Any]) -> int:
+        """Fold a validated envelope into an engine; points added.
 
-        Merges the stored exact points into ``engine.surface`` (the
-        incumbent wins on key collisions — both sides simulated the
-        same numbers) and returns how many points were added; 0 on a
+        The incumbent wins on key collisions (both sides simulated the
+        same numbers), and the stored packing summary seeds the
+        engine's memo unless the engine computed its own. Malformed
+        entries warn and add nothing.
+        """
+        try:
+            packing = doc.get("packing")
+            if packing is not None:
+                from ..core.meadow import PackingSummary  # core imports sim
+
+                packing = PackingSummary(
+                    raw_bits=int(packing["raw_bits"]),
+                    packed_bits=int(packing["packed_bits"]),
+                )
+            added = engine.surface.merge_points(doc["points"])
+        except (SimulationError, KeyError, TypeError, ValueError) as exc:
+            self._warn(
+                f"surface store file {self.path_for(doc['fingerprint'])} "
+                f"has malformed entries: {exc}"
+            )
+            return 0
+        if engine._packing_summary is None:
+            engine._packing_summary = packing
+        return added
+
+    def load(self, engine) -> int:
+        """Warm-start an engine from the store.
+
+        Merges the stored exact points into ``engine.surface`` and seeds
+        the engine's packing summary, so a fully warm run neither
+        simulates nor packs. Returns how many points were added; 0 on a
         cold store or any failure. Never touches
         ``LatencySurface.n_simulated``: loaded points do not count as
         simulation, which is exactly what the warm-start CI assertion
         measures.
         """
-        fingerprint = engine_fingerprint(engine)
-        doc = self._read(fingerprint)
-        if doc is None:
-            return 0
-        dump = doc["surface"]
-        points = dump.get("points")
-        if not isinstance(points, list):
-            self._warn(
-                f"surface store file {self.path_for(fingerprint)} has no "
-                f"point table"
-            )
-            return 0
-        expected = dump.get("n_points")
-        if expected is not None and expected != len(points):
-            self._warn(
-                f"surface store file {self.path_for(fingerprint)} is "
-                f"truncated: header says {expected} points, {len(points)} "
-                f"present"
-            )
-            return 0
-        try:
-            return engine.surface.merge_points(points)
-        except Exception as exc:  # malformed entries — fall back cold
-            self._warn(
-                f"surface store file {self.path_for(fingerprint)} has "
-                f"malformed points: {exc}"
-            )
-            return 0
+        doc = self._read(engine_fingerprint(engine))
+        return 0 if doc is None else self._merge(engine, doc)
 
     # --------------------------------------------------------------- save
     def save(self, engine) -> int:
         """Append an engine's exact points to its store file atomically.
 
-        Read-merge-union: the current file's points are folded into the
-        engine's surface first, so a concurrent writer's discoveries
-        survive (last-writer-wins only over the few points both
-        simulated — which are identical anyway). The union is written
+        Read-merge-union: the current file is folded into the engine
+        first, so a concurrent writer's discoveries survive
+        (last-writer-wins only over the few points both simulated —
+        which are identical anyway). The union is written
         to a temp file and moved over the target with ``os.replace``,
         so readers never observe a partial file. Returns the number of
         points written; 0 (with a warning) when the directory cannot be
@@ -206,21 +226,17 @@ class SurfaceStore:
         fingerprint = engine_fingerprint(engine)
         doc = self._read(fingerprint)
         if doc is not None:
-            points = doc["surface"].get("points")
-            if isinstance(points, list):
-                try:
-                    engine.surface.merge_points(points)
-                except Exception as exc:
-                    self._warn(
-                        f"discarding malformed points in "
-                        f"{self.path_for(fingerprint)}: {exc}"
-                    )
+            self._merge(engine, doc)
+        points = engine.surface.export_points()
+        summary = engine._packing_summary
         envelope = {
             "store_version": STORE_SCHEMA_VERSION,
             "fingerprint": fingerprint,
             "model": engine.model.name,
             "plan": engine.plan.name,
-            "surface": engine.surface.to_json(),
+            "packing": None if summary is None else dataclasses.asdict(summary),
+            "n_points": len(points),
+            "points": points,
         }
         path = self.path_for(fingerprint)
         try:
@@ -241,7 +257,7 @@ class SurfaceStore:
         except OSError as exc:
             self._warn(f"cannot write surface store file {path}: {exc}")
             return 0
-        return envelope["surface"]["n_points"]
+        return len(points)
 
     @staticmethod
     def _warn(message: str) -> None:

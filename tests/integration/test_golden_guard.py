@@ -10,7 +10,9 @@ fidelity-level change — packing, dataflow, energy model — trips this
 file in the same commit that caused it, with a one-line re-record hint
 instead of a cryptic downstream diff.
 
-Re-record (only when a fidelity change is intentional)::
+Re-record (only when a fidelity change is intentional), after bumping
+``FIDELITY_VERSION`` in ``repro/sim/surface_store.py`` so surface
+stores written by the old model stop matching::
 
     PYTHONPATH=src python tests/integration/test_golden_guard.py --record
 """
@@ -27,11 +29,13 @@ from repro import MeadowEngine, zcu102_config
 from repro.baselines import cta, flightllm, gemm_baseline
 from repro.core import ExecutionPlan
 from repro.models import OPT_125M
+from repro.sim.surface_store import FIDELITY_VERSION
 
 GOLDEN_PATH = Path(__file__).with_name("golden_model_numbers.json")
 
 RECORD_HINT = (
     "modeled numbers drifted — if the fidelity change is intentional, "
+    "bump FIDELITY_VERSION in src/repro/sim/surface_store.py and "
     "re-record in THIS commit with: "
     "PYTHONPATH=src python tests/integration/test_golden_guard.py --record"
 )
@@ -64,9 +68,21 @@ def compute_goldens():
     return out
 
 
-def test_modeled_numbers_match_goldens():
+def _load_goldens():
     assert GOLDEN_PATH.exists(), f"missing {GOLDEN_PATH.name}; {RECORD_HINT}"
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    return golden.pop("fidelity_version", None), golden
+
+
+def test_goldens_record_the_fidelity_version():
+    # The store fingerprint carries FIDELITY_VERSION; goldens recorded
+    # under another version mean one of the two was not updated.
+    version, _ = _load_goldens()
+    assert version == FIDELITY_VERSION, RECORD_HINT
+
+
+def test_modeled_numbers_match_goldens():
+    _, golden = _load_goldens()
     current = compute_goldens()
     assert sorted(golden) == sorted(current), RECORD_HINT
     drifts = []
@@ -130,8 +146,9 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if not args.record:
         parser.error("run under pytest to check; pass --record to re-pin")
+    record = {"fidelity_version": FIDELITY_VERSION, **compute_goldens()}
     GOLDEN_PATH.write_text(
-        json.dumps(compute_goldens(), indent=2, sort_keys=True) + "\n",
+        json.dumps(record, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     print(f"recorded {GOLDEN_PATH}")

@@ -14,7 +14,10 @@ import json
 import pytest
 
 from repro.core import ExecutionPlan, MeadowEngine
+from repro.packing import PackingConfig, PackingPlanner
+from repro.packing import planner as planner_module
 from repro.sim import SurfaceStore, engine_fingerprint
+from repro.sim import surface_store
 from repro.sim.surface_store import STORE_SCHEMA_VERSION
 
 
@@ -56,6 +59,49 @@ class TestRoundTrip:
             assert b.total_cycles == a.total_cycles
             assert b.energy_uj == a.energy_uj
 
+    def test_round_trip_is_exact(self, engine, small_model, zcu12, store):
+        """Loaded points equal a fresh engine's own simulation, and
+        every loaded lookup is a hit (no simulator call)."""
+        keys = _warm(engine)
+        store.save(engine)
+        warm = MeadowEngine(
+            small_model, zcu12, ExecutionPlan.meadow(), engine.planner
+        )
+        store.load(warm)
+
+        class Exploding:
+            def __getattr__(self, name):
+                raise AssertionError("simulated on what should be a hit")
+
+        fresh = MeadowEngine(
+            small_model, zcu12, ExecutionPlan.meadow(), engine.planner
+        )
+        warm.surface._sim = Exploding()  # any miss would now blow up
+        assert warm.surface.prefill(64) == fresh.surface.prefill(64)
+        assert warm.surface.decode(64, batch=2) == fresh.surface.decode(64, batch=2)
+        assert warm.surface.decode(128) == fresh.surface.decode(128)
+        assert warm.surface.point_keys() == keys
+
+    def test_file_is_versioned_and_sorted(self, engine, store):
+        _warm(engine)
+        store.save(engine)
+        doc = json.loads(
+            store.path_for(engine_fingerprint(engine)).read_text(encoding="utf-8")
+        )
+        assert doc["store_version"] == STORE_SCHEMA_VERSION
+        assert doc["n_points"] == len(doc["points"]) == 3
+        keys = [(p["stage"], p["tokens"], p["batch"]) for p in doc["points"]]
+        assert keys == sorted(keys)
+
+    def test_interpolated_points_never_stored(self, engine, twin, store):
+        engine.surface.decode(128)
+        engine.surface.decode(144)
+        engine.surface.interp_rel_err = 1.0
+        assert not engine.surface.decode(136, interpolate=True).exact
+        assert store.save(engine) == 2
+        assert store.load(twin) == 2
+        assert sorted(t for _, t, _ in twin.surface.point_keys()) == [128, 144]
+
     def test_load_does_not_count_as_simulation(self, engine, twin, store):
         _warm(engine)
         store.save(engine)
@@ -86,6 +132,46 @@ class TestRoundTrip:
             engine.surface.point_keys() | twin.surface.point_keys()
         )
 
+    def test_packing_summary_round_trips(self, engine, twin, store):
+        summary = engine.packing_summary()
+        store.save(engine)
+        store.load(twin)
+        assert twin._packing_summary == summary
+
+    def test_warm_engine_packs_nothing(
+        self, engine, small_model, zcu12, store, monkeypatch
+    ):
+        """A warm load seeds the packing memo: packing_summary() then
+        generates no synthetic weights, even with every in-process
+        packing memo gone."""
+        _warm(engine)
+        summary = engine.packing_summary()
+        store.save(engine)
+
+        def no_weights(*args, **kwargs):
+            raise AssertionError("generated synthetic weights after a warm load")
+
+        monkeypatch.setattr(planner_module, "_STATS_CACHE", {})
+        monkeypatch.setattr(planner_module, "generate_int8_weights", no_weights)
+        warm = MeadowEngine(
+            small_model, zcu12, ExecutionPlan.meadow(),
+            PackingPlanner(config=PackingConfig(), depth_buckets=2),
+        )
+        assert engine_fingerprint(warm) == engine_fingerprint(engine)
+        assert store.load(warm) == 3
+        assert warm.packing_summary() == summary
+        warm.surface.decode(128)
+        assert warm.surface.n_simulated == 0
+
+    def test_unpacked_plan_stores_no_summary(self, small_model, zcu12, store):
+        gemm = MeadowEngine(small_model, zcu12, ExecutionPlan.gemm_baseline())
+        gemm.surface.decode(64)
+        store.save(gemm)
+        doc = json.loads(
+            store.path_for(engine_fingerprint(gemm)).read_text(encoding="utf-8")
+        )
+        assert doc["packing"] is None
+
     def test_save_is_atomic_rename(self, engine, store):
         _warm(engine)
         store.save(engine)
@@ -107,6 +193,36 @@ class TestFingerprint:
     def test_bandwidth_changes_fingerprint(self, engine):
         other = engine.clone(config=engine.config.with_bandwidth(1.0))
         assert engine_fingerprint(other) != engine_fingerprint(engine)
+
+    def test_packing_config_and_seed_change_fingerprint(self, small_model, zcu12):
+        default = MeadowEngine(small_model, zcu12, planner=PackingPlanner())
+        custom = MeadowEngine(
+            small_model, zcu12,
+            planner=PackingPlanner(PackingConfig(chunk_size=4), base_seed=7),
+        )
+        assert engine_fingerprint(custom) != engine_fingerprint(default)
+        reseeded = MeadowEngine(
+            small_model, zcu12, planner=PackingPlanner(base_seed=7)
+        )
+        assert engine_fingerprint(reseeded) != engine_fingerprint(default)
+
+    def test_fidelity_version_changes_fingerprint(self, engine, monkeypatch):
+        before = engine_fingerprint(engine)
+        monkeypatch.setattr(
+            surface_store, "FIDELITY_VERSION", surface_store.FIDELITY_VERSION + 1
+        )
+        assert engine_fingerprint(engine) != before
+
+    def test_foreign_bandwidth_engine_loads_nothing(self, engine, store):
+        """A 12 Gbps table never serves a 1 Gbps engine."""
+        _warm(engine)
+        store.save(engine)
+        slow = engine.clone(config=engine.config.with_bandwidth(1.0))
+        assert store.load(slow) == 0
+        assert len(slow.surface) == 0
+        exact = slow.clone().surface.prefill(64)
+        assert slow.surface.prefill(64) == exact
+        assert exact.latency_s > engine.surface.prefill(64).latency_s
 
     def test_foreign_fingerprint_file_not_loaded(self, engine, store):
         """A file renamed/copied across engines must not leak points."""
@@ -137,7 +253,7 @@ class TestFailurePaths:
     def test_truncated_point_table_warns(self, engine, twin, store):
         path = self._saved(engine, store)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["surface"]["points"] = doc["surface"]["points"][:1]
+        doc["points"] = doc["points"][:1]
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="truncated"):
             assert store.load(twin) == 0
@@ -157,22 +273,32 @@ class TestFailurePaths:
         with pytest.warns(RuntimeWarning, match="version"):
             assert store.load(twin) == 0
 
-    def test_missing_surface_payload_warns(self, engine, twin, store):
+    def test_missing_point_table_warns(self, engine, twin, store):
         path = self._saved(engine, store)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        del doc["surface"]
+        del doc["points"]
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="no surface payload"):
+        with pytest.warns(RuntimeWarning, match="no point table"):
             assert store.load(twin) == 0
 
     def test_malformed_points_warn(self, engine, twin, store):
         path = self._saved(engine, store)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["surface"]["points"] = [{"bogus": True}]
-        doc["surface"]["n_points"] = 1
+        doc["points"] = [{"bogus": True}]
+        doc["n_points"] = 1
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="malformed"):
             assert store.load(twin) == 0
+
+    def test_malformed_packing_summary_warns(self, engine, twin, store):
+        path = self._saved(engine, store)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["packing"] = {"raw_bits": 1}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="malformed"):
+            assert store.load(twin) == 0
+        assert len(twin.surface) == 0
+        assert twin._packing_summary is None
 
     def test_store_file_is_a_directory_warns(self, engine, store):
         store.root.mkdir(parents=True)
