@@ -469,11 +469,11 @@ class SweepDriver:
 
         The parent pre-materializes every engine the grid can touch and
         broadcasts their exported surface points through the pool
-        initializer, so children start as warm as the parent. Each task returns its
-        :class:`SweepPoint` plus the surface points that worker
-        discovered since it last shipped any; the parent merges the
-        deltas so the warm cache survives the sweep exactly as in the
-        serial walk. Futures are collected in submission order, so point
+        initializer, so children start as warm as the parent. Each task
+        returns its :class:`SweepPoint` plus the surface points that
+        worker discovered since it last shipped any; the parent merges
+        the deltas so the warm cache survives the sweep exactly as in
+        the serial walk. Futures are collected in submission order, so point
         order — and therefore the versioned Pareto JSON — is identical.
         """
         from concurrent.futures import ProcessPoolExecutor
