@@ -105,31 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="multi-user serving simulation")
     common(p)
-    p.add_argument("--requests", type=int, default=64)
-    p.add_argument(
-        "--arrival", choices=["poisson", "bursty", "closed-loop"], default="poisson"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=4.0, help="poisson: requests/s")
-    p.add_argument("--burst-size", type=int, default=8)
-    p.add_argument("--burst-gap", type=float, default=2.0, help="bursty: seconds")
-    p.add_argument("--users", type=int, default=4, help="closed-loop population")
-    p.add_argument("--think-time", type=float, default=0.5, help="closed-loop: s")
-    p.add_argument("--prompt-tokens", type=int, nargs=2, default=[64, 256],
-                   metavar=("LO", "HI"), help="uniform prompt-length range")
-    p.add_argument("--output-tokens", type=int, nargs=2, default=[24, 96],
-                   metavar=("MEAN", "MAX"), help="geometric output-length model")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="cap on concurrently decoded requests per iteration")
-    p.add_argument("--ctx-bucket", type=int, default=16,
-                   help="round decode contexts up to a multiple of this "
-                        "before simulation (1 = exact; larger = faster)")
-    p.add_argument("--kv-budget-mb", type=float, default=None,
-                   help="override the DRAM-derived KV budget")
-    p.add_argument("--no-token-events", action="store_true",
-                   help="skip per-token DECODE_STEP/FIRST_TOKEN event "
-                        "materialization (metrics are identical; long "
-                        "streams run lighter)")
+    _stream_args(p, requests=64, arrival="poisson", rate=4.0, burst_gap=2.0,
+                 users=4, think_time=0.5)
     _interp_args(p)
     _obs_args(p)
     _store_args(p)
@@ -146,27 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICY_NAMES,
                    default="predicted-latency",
                    help="routing policy for a single fleet run")
-    p.add_argument("--requests", type=int, default=48)
-    p.add_argument(
-        "--arrival", choices=["poisson", "bursty", "closed-loop"], default="bursty"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=8.0, help="poisson: requests/s")
-    p.add_argument("--burst-size", type=int, default=8)
-    p.add_argument("--burst-gap", type=float, default=0.25, help="bursty: seconds")
-    p.add_argument("--users", type=int, default=8, help="closed-loop population")
-    p.add_argument("--think-time", type=float, default=0.25, help="closed-loop: s")
-    p.add_argument("--prompt-tokens", type=int, nargs=2, default=[64, 256],
-                   metavar=("LO", "HI"), help="uniform prompt-length range")
-    p.add_argument("--output-tokens", type=int, nargs=2, default=[24, 96],
-                   metavar=("MEAN", "MAX"), help="geometric output-length model")
-    p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--ctx-bucket", type=int, default=16)
-    p.add_argument("--kv-budget-mb", type=float, default=None,
-                   help="per-shard override of the DRAM-derived KV budget")
-    p.add_argument("--no-token-events", action="store_true",
-                   help="skip per-token event materialization in every "
-                        "shard (sweep mode always skips it)")
+    _stream_args(p, requests=48, arrival="bursty", rate=8.0, burst_gap=0.25,
+                 users=8, think_time=0.25)
     p.add_argument("--steal", action="store_true",
                    help="work stealing: an idle shard pulls still-waiting "
                         "requests off the deepest-backlog shard")
@@ -270,6 +228,46 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 0.5 — machine-to-machine noise is real, "
                         "halving the measured ratio is not)")
     return parser
+
+
+def _stream_args(
+    p: argparse.ArgumentParser,
+    requests: int,
+    arrival: str,
+    rate: float,
+    burst_gap: float,
+    users: int,
+    think_time: float,
+) -> None:
+    """The scenario and per-shard scheduler flags serve and fleet share."""
+    p.add_argument("--requests", type=int, default=requests)
+    p.add_argument(
+        "--arrival", choices=["poisson", "bursty", "closed-loop"], default=arrival
+    )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rate", type=float, default=rate, help="poisson: requests/s")
+    p.add_argument("--burst-size", type=int, default=8)
+    p.add_argument("--burst-gap", type=float, default=burst_gap,
+                   help="bursty: seconds")
+    p.add_argument("--users", type=int, default=users,
+                   help="closed-loop population")
+    p.add_argument("--think-time", type=float, default=think_time,
+                   help="closed-loop: s")
+    p.add_argument("--prompt-tokens", type=int, nargs=2, default=[64, 256],
+                   metavar=("LO", "HI"), help="uniform prompt-length range")
+    p.add_argument("--output-tokens", type=int, nargs=2, default=[24, 96],
+                   metavar=("MEAN", "MAX"), help="geometric output-length model")
+    p.add_argument("--max-batch", type=int, default=16,
+                   help="cap on concurrently decoded requests per iteration")
+    p.add_argument("--ctx-bucket", type=int, default=16,
+                   help="round decode contexts up to a multiple of this "
+                        "before simulation (1 = exact; larger = faster)")
+    p.add_argument("--kv-budget-mb", type=float, default=None,
+                   help="override the DRAM-derived KV budget (per shard)")
+    p.add_argument("--no-token-events", action="store_true",
+                   help="skip per-token DECODE_STEP/FIRST_TOKEN event "
+                        "materialization (metrics are identical; long "
+                        "streams run lighter; fleet sweeps always skip it)")
 
 
 def _interp_args(p: argparse.ArgumentParser) -> None:
@@ -605,26 +603,31 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
     if args.faults_grid is not None:
         _check_fault_names(args.faults_grid, "--faults-grid")
     observer = _make_observer(args)
+    if args.sweep and args.interpolate:
+        from .errors import ConfigError
+
+        raise ConfigError(
+            "--interpolate applies to single fleet runs only; sweep "
+            "results are defined exact so serial and --workers runs "
+            "stay bit-identical"
+        )
+    driver = SweepDriver(
+        base,
+        bandwidths_gbps=args.bandwidths,
+        kv_budget_bytes=(
+            [budget] * len(args.bandwidths) if budget is not None else None
+        ),
+        surface_store=_make_store(args),
+    )
 
     if not args.sweep:
-        # One engine per *distinct* bandwidth: shards sharing hardware
-        # share the engine (and its warm latency surface), so repeated
-        # profile entries like `12 1 12 1` cost nothing extra.
-        by_bandwidth = {base.config.dram_bandwidth_gbps: base}
-        for bw in args.bandwidths:
-            if bw not in by_bandwidth:
-                by_bandwidth[bw] = base.clone(
-                    config=base.config.with_bandwidth(bw)
-                )
-        engines = [by_bandwidth[bw] for bw in args.bandwidths]
+        # Shards sharing a bandwidth share the driver's engine (and its
+        # warm latency surface), so repeated profile entries like
+        # `12 1 12 1` cost nothing extra.
+        engines = [driver.engine_for(bw) for bw in args.bandwidths]
         if args.interp_rel_err is not None:
-            for eng in by_bandwidth.values():
+            for eng in engines:
                 eng.surface.interp_rel_err = args.interp_rel_err
-        store = _make_store(args)
-        loaded = {
-            bw: store.load(eng)
-            for bw, eng in by_bandwidth.items()
-        } if store is not None else {}
         retry = None
         if args.retry_budget is not None or args.deadline_s is not None:
             retry = RetryPolicy(
@@ -658,31 +661,10 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         lines = [header, report.describe()]
         if report.obs is not None:
             lines.extend(_obs_outputs(report.obs, args))
-        if store is not None:
-            new = warm = 0
-            for bw, eng in sorted(by_bandwidth.items()):
-                warm += loaded[bw]
-                new += max(0, len(eng.surface) - loaded[bw])
-                store.save(eng)
-            lines.append(_store_line(new, warm))
+        if driver.surface_store is not None:
+            lines.append(_store_line(*driver.save_surfaces()))
         return "\n".join(lines)
 
-    if args.interpolate:
-        from .errors import ConfigError
-
-        raise ConfigError(
-            "--interpolate applies to single fleet runs only; sweep "
-            "results are defined exact so serial and --workers runs "
-            "stay bit-identical"
-        )
-    driver = SweepDriver(
-        base,
-        bandwidths_gbps=args.bandwidths,
-        kv_budget_bytes=(
-            [budget] * len(args.bandwidths) if budget is not None else None
-        ),
-        surface_store=_make_store(args),
-    )
     result = driver.sweep(
         factory,
         n_engines_grid=args.num_engines or [len(args.bandwidths)],

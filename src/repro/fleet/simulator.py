@@ -20,18 +20,16 @@ records and merged metrics, field for field (only ARRIVAL observations
 interleave at finer granularity, since the fleet hands requests over at
 routing instants).
 
-**Drain is driven by a global next-event calendar.** Between arrivals
-the fleet holds its busy shards in a heap keyed by
+**Drain is driven by a global next-event scan.** Between arrivals
+each pass sorts the shards by
 :meth:`~repro.serving.ContinuousBatchingScheduler.next_event_s` — the
-instant each shard's next iteration would start — pops the global
-minimum and advances that shard in one coalesced pass up to the
-runner-up's key, interrupted the moment a completion injects a global
-follow-up. That makes closed-loop drain cost O(fleet events) while
-executing the *identical* iteration sequence as the retained
-per-iteration reference walk (``calendar=False``: pick the minimal
-shard, run exactly one iteration, repeat), which the equivalence tests
-compare against bit for bit — records, events, decisions and merged
-metrics.
+instant each shard's next iteration would start — and advances the
+minimum in one coalesced pass up to the runner-up's key, interrupted
+the moment a completion injects a global follow-up. That executes the
+*identical* iteration sequence as the retained per-iteration reference
+walk (``calendar=False``: pick the minimal shard, run exactly one
+iteration, repeat), which the equivalence tests compare against bit
+for bit — records, events, decisions and merged metrics.
 
 Closed-loop sources compose: a completion anywhere in the fleet hands
 its follow-up back to the *global* router (completion hooks are
@@ -39,7 +37,7 @@ intercepted per shard), so think-time users are not pinned to the shard
 that served their previous turn. Follow-ups that no shard could ever
 admit are rejected and counted, mirroring single-engine behaviour.
 
-Two flag-gated layers ride on the calendar. **Work stealing**
+Two flag-gated layers ride on the drain. **Work stealing**
 (``steal=True``): a shard going idle pulls the youngest still-waiting
 request it can hold off the deepest-backlog shard (which must stay
 busy afterwards), recorded as a migration decision — the antidote to
@@ -306,78 +304,6 @@ def _per_shard(value, n: int, name: str) -> List:
     return [value] * n
 
 
-class _DrainCalendar:
-    """Cached next-event calendar over the fleet's shards.
-
-    Replaces the rebuild-the-whole-heap-on-stale drain loop: each
-    shard's current key (``next_event_s()``, or +inf when idle) is
-    cached in ``_keys``; state-touching sites mark the cache stale via
-    :meth:`invalidate_all` and the next :meth:`pop` re-keys the shards,
-    pushing a heap entry only when a key actually changed. Superseded
-    heap entries are removed lazily — an entry is live iff its value
-    still equals the shard's cached key — so no heapify ever runs after
-    construction.
-
-    Invariant: every shard with a finite cached key has at least one
-    live heap entry. :meth:`pop` consumes the winner's entry, so the
-    caller must call :meth:`reschedule` after advancing that shard
-    (it re-pushes unconditionally: an advance may leave the key
-    numerically unchanged, e.g. an admission that does not move the
-    clock, and the entry still has to come back).
-    """
-
-    __slots__ = ("_heap", "_keys", "_stale", "_shards")
-
-    def __init__(self, shards: Sequence[ContinuousBatchingScheduler]) -> None:
-        self._shards = shards
-        self._heap: List[Tuple[float, int]] = []
-        self._keys = [math.inf] * len(shards)
-        self._stale = True
-
-    def invalidate_all(self) -> None:
-        """Mark every cached key suspect (re-keyed on the next pop)."""
-        self._stale = True
-
-    def _flush(self) -> None:
-        if not self._stale:
-            return
-        heap, keys = self._heap, self._keys
-        for i, shard in enumerate(self._shards):
-            key = math.inf if shard.idle else shard.next_event_s()
-            if key != keys[i]:
-                keys[i] = key
-                if key != math.inf:
-                    heapq.heappush(heap, (key, i))
-        self._stale = False
-
-    def pop(self) -> Optional[Tuple[float, int, float]]:
-        """Next acting shard as ``(key, shard_id, horizon)``, or None.
-
-        ``horizon`` is the runner-up's live key (stale tops are
-        discarded first so it is never spuriously early); ``None``
-        means every shard is idle. Ties pop the lowest shard id,
-        matching the reference walk's stable ``min()``.
-        """
-        self._flush()
-        heap, keys = self._heap, self._keys
-        while heap:
-            key, i = heapq.heappop(heap)
-            if key != keys[i]:
-                continue  # superseded entry
-            while heap and heap[0][0] != keys[heap[0][1]]:
-                heapq.heappop(heap)
-            return key, i, heap[0][0] if heap else math.inf
-        return None
-
-    def reschedule(self, shard_id: int) -> None:
-        """Re-key one shard after the caller advanced it."""
-        shard = self._shards[shard_id]
-        key = math.inf if shard.idle else shard.next_event_s()
-        self._keys[shard_id] = key
-        if key != math.inf:
-            heapq.heappush(self._heap, (key, shard_id))
-
-
 class FleetSimulator:
     """Run request scenarios over a fleet of engines with one router.
 
@@ -394,13 +320,12 @@ class FleetSimulator:
             events in every shard's log. Flip off for long sweeps —
             records, merged metrics and peak-KV accounting are exact
             either way.
-        calendar: drive the drain phase from the global next-event
-            calendar (heap of per-shard ``next_event_s`` keys, coalesced
-            advances between keys) — O(fleet events). ``False`` retains
-            the per-iteration reference walk (globally minimal shard,
-            one iteration at a time, never the open-loop shortcut) the
-            equivalence tests compare against; both produce
-            bit-identical timelines.
+        calendar: coalesce the drain phase: the globally next-acting
+            shard advances in one run up to the runner-up's
+            ``next_event_s`` key. ``False`` retains the per-iteration
+            reference walk (the same shard, one iteration at a time,
+            never the open-loop run-dry) the equivalence tests compare
+            against; both produce bit-identical timelines.
         interpolate: allow guarded log-linear surface interpolation on
             every shard's latency lookups (approximate within each
             surface's ``interp_rel_err`` bound, falling back to exact
@@ -649,7 +574,7 @@ class FleetSimulator:
         # stepping closed-loop routing fidelity (and steal checks)
         # requires. A source is open-loop only when on_complete is the
         # base-class no-op and no instance-level hook shadows it. The
-        # calendar=False reference walk never takes this shortcut.
+        # calendar=False reference walk never runs a shard dry.
         open_loop = (
             type(source).on_complete is RequestSource.on_complete
             and "on_complete" not in getattr(source, "__dict__", {})
@@ -689,16 +614,11 @@ class FleetSimulator:
             return not preempted()
 
         decisions: List[RoutingDecision] = []
-        # The drain calendar caches each shard's next-event key with
-        # explicit invalidation: routing, stealing, faults and arrival
-        # syncs mark it stale instead of forcing a full rebuild, and
-        # only changed keys re-enter the heap.
-        calendar = _DrainCalendar(shards)
         while True:
-            if self.steal and self._steal_pass(
-                shards, decisions, pending_predictions, up, obs=obs
-            ):
-                calendar.invalidate_all()
+            if self.steal:
+                self._steal_pass(
+                    shards, decisions, pending_predictions, up, obs=obs
+                )
             if fault_heap and (not arrivals or fault_heap[0][0] <= arrivals[0][0]):
                 if not arrivals and all(shard.idle for shard in shards):
                     # Nothing in flight and nothing to come: remaining
@@ -707,7 +627,6 @@ class FleetSimulator:
                 if not sync_to(fault_heap[0][0]):
                     continue
                 t, _, action, s, payload = heapq.heappop(fault_heap)
-                calendar.invalidate_all()
                 if action == "crash":
                     if not up[s]:
                         continue  # absorbed: the shard is already down
@@ -761,7 +680,6 @@ class FleetSimulator:
                     shards[s].latency_scale = 1.0
                 continue
             if arrivals:
-                calendar.invalidate_all()
                 t, request_id, req = heapq.heappop(arrivals)
                 # No live shard may lag the routing instant.
                 if not sync_to(t):
@@ -837,51 +755,38 @@ class FleetSimulator:
                         policy=policy.name, predicted_ttft_s=predicted,
                     )
                     obs.count("requests_routed", shard=choice)
-            elif open_loop:
-                # Open-loop fast path: no follow-ups can ever appear and
-                # the fault branch above has already fired every fault,
-                # so each shard runs dry independently in one coalesced
-                # advance.
-                busy = [shard for shard in shards if not shard.idle]
-                if not busy:
+            else:
+                # Drain: advance the globally next-acting shard (lowest
+                # id on ties). Idle shards, down ones included (they are
+                # harvested), key at inf and never act. Rescanning every
+                # pass keeps the keys exact after routing, steals and
+                # faults; fleets are a handful of shards.
+                keys = sorted(
+                    (shard.next_event_s(), i) for i, shard in enumerate(shards)
+                )
+                key, idx = keys[0]
+                if key == math.inf:
                     break
-                for shard in busy:
-                    shard.advance_until(math.inf)
-            elif self.calendar:
-                # Event-calendar drain: pop the globally next-acting
-                # shard and advance it in one coalesced pass up to the
-                # runner-up's key, bailing out the moment a completion
-                # injects a global follow-up — so closed-loop arrivals
-                # re-enter routing at exactly the same instant the
-                # reference walk would surface them. Down shards are
-                # idle (harvested), so they never enter the calendar.
-                nxt = calendar.pop()
-                if nxt is None:
-                    break
-                key, idx, horizon = nxt
+                horizon = keys[1][0] if n_shards > 1 else math.inf
                 shard = shards[idx]
-                if key >= horizon:
-                    # Exact tie with the runner-up: run one iteration,
-                    # matching the reference walk's id-ordered pick.
+                if open_loop:
+                    # No follow-up can ever appear and every fault has
+                    # fired, so the shard runs dry independently.
+                    shard.advance_until(math.inf)
+                elif not self.calendar or key >= horizon:
+                    # The reference walk, or an exact tie with the
+                    # runner-up: one iteration, so a completion's
+                    # closed-loop follow-up re-enters global routing
+                    # before any shard simulates past it.
                     shard.advance_one()
                 else:
+                    # Coalesce up to the runner-up's key, bailing out
+                    # the moment a completion injects a follow-up, so
+                    # it re-enters routing at exactly the instant the
+                    # reference walk would surface it.
                     shard.advance_until(
                         horizon, interrupt=lambda: bool(arrivals)
                     )
-                calendar.reschedule(idx)
-            else:
-                # Reference drain: step the globally next-acting busy
-                # shard one iteration at a time, so a completion's
-                # closed-loop follow-up re-enters global routing
-                # immediately — not after every shard has already
-                # simulated past it. This keeps a one-shard closed-loop
-                # fleet identical to single-engine serving and routing
-                # snapshots honest. The calendar path above executes
-                # the identical iteration sequence in coalesced runs.
-                busy = [shard for shard in shards if not shard.idle]
-                if not busy:
-                    break
-                min(busy, key=lambda shard: shard.next_event_s()).advance_one()
 
         shard_results = tuple(shard.result() for shard in shards)
         resilience = None
@@ -931,7 +836,7 @@ class FleetSimulator:
         pending_predictions: Dict[int, float],
         up: List[bool],
         obs: Optional[FleetObserver] = None,
-    ) -> bool:
+    ) -> None:
         """Idle thieves pull waiting work off backlogged donors.
 
         Deterministic: thieves are visited in ascending shard id;
@@ -946,7 +851,7 @@ class FleetSimulator:
         prefill, ignoring the donor's queue), so work never
         migrates onto a shard slow enough to make the wait look
         good. One steal per thief per pass (the thief is busy
-        afterwards). Returns whether anything moved.
+        afterwards).
 
         ``up`` masks crashed shards: a down shard is "idle" because
         its queue was harvested, not because it has capacity — it
@@ -967,7 +872,6 @@ class FleetSimulator:
             ).latency_s
             return first_token_thief < donor_lower_bound
 
-        stole = False
         for thief_id, thief in enumerate(shards):
             if not up[thief_id] or not thief.idle:
                 continue
@@ -1010,6 +914,4 @@ class FleetSimulator:
                         shard_id=thief_id, from_shard=donor_id,
                     )
                     obs.count("migrations", thief=thief_id, donor=donor_id)
-                stole = True
                 break
-        return stole

@@ -564,7 +564,7 @@ class ContinuousBatchingScheduler:
     def next_event_s(self) -> float:
         """The instant this scheduler's next iteration would start.
 
-        The fleet calendar's heap key: a shard with runnable work
+        The fleet drain's sort key: a shard with runnable work
         (queued prefill, in-flight decode, or a pending request the
         next boundary may admit) acts at its own clock; a shard whose
         only work is a future arrival acts when that arrival is due

@@ -105,16 +105,15 @@ class _TapeLedger(EnergyLedger):
 class WorkloadSimulator:
     """Reusable simulator bound to a model, hardware config and plan.
 
-    ``dedup`` enables the layer-class fast path (see module docstring);
-    it is on by default and bit-identical to the reference walk. Set it
-    to ``False`` to force the O(n_layers x n_ops) reference path.
+    :meth:`simulate` takes the layer-class fast path (see module
+    docstring), bit-identical to the O(n_layers x n_ops) walk that
+    :meth:`simulate_reference` keeps.
     """
 
     model: TransformerConfig
     config: HardwareConfig
     plan: ExecutionPlan
     planner: Optional[PackingPlanner] = None
-    dedup: bool = True
     #: Lazily computed per-layer weight-bit signatures (workload-independent).
     _layer_sigs: Optional[Tuple[Hashable, ...]] = field(
         default=None, init=False, repr=False, compare=False
@@ -314,15 +313,12 @@ class WorkloadSimulator:
     def simulate(self, workload: Workload) -> StageReport:
         """Simulate the workload across every block of the model.
 
-        Uses the layer-class fast path when :attr:`dedup` is enabled:
-        one template layer is simulated per distinct weight-bit
-        signature and its records/energy deltas are replayed for every
-        member layer. The resulting report is bit-identical to
+        Uses the layer-class fast path: one template layer is simulated
+        per distinct weight-bit signature and its records/energy deltas
+        are replayed for every member layer. The resulting report is bit-identical to
         :meth:`simulate_reference` (member layers share the template's
         ``OpLatency`` list, which is immutable in practice).
         """
-        if not self.dedup:
-            return self.simulate_reference(workload)
         self._check_workload(workload)
         energy = EnergyLedger()
         picojoules = energy.picojoules

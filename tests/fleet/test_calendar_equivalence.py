@@ -1,7 +1,7 @@
 """Calendar-mode fleet drain is bit-identical to the reference walk.
 
 The event-calendar drain (``calendar=True``, the default) advances the
-globally next-acting shard in coalesced runs between heap keys; the
+globally next-acting shard in coalesced runs up to the runner-up's key; the
 retained per-iteration reference walk (``calendar=False``) picks the
 minimal shard and runs exactly one iteration at a time. These tests pin
 the tentpole claim: the two execute the *identical* fleet timeline —
@@ -103,6 +103,31 @@ class TestClosedLoopEquivalence:
             [fast_engine, slow_engine],
             src,
             policy="jsq",
+            kv_budget_bytes=shard_budget,
+            max_batch=8,
+        )
+        _assert_identical(reference, calendar)
+
+    @given(seeds)
+    @settings(max_examples=6, deadline=None)
+    def test_equal_speed_busy_pair(
+        self, fast_engine, slow_engine, shard_budget, prompt_dist,
+        output_dist, seed
+    ):
+        # Two users on a fast/slow/fast/slow fleet both land on the fast
+        # shards, which then bound each other's horizon: each coalesced
+        # advance stops at the other's next step, a regime the
+        # fast/slow pairs above never reach.
+        def src():
+            return ClosedLoopSource(
+                n_users=2, total_requests=12, think_time_s=0.001,
+                prompt_dist=prompt_dist, output_dist=output_dist, seed=seed,
+            )
+
+        reference, calendar = _run_both(
+            [fast_engine, slow_engine, fast_engine, slow_engine],
+            src,
+            policy="predicted-latency",
             kv_budget_bytes=shard_budget,
             max_batch=8,
         )

@@ -113,20 +113,6 @@ class TestLayerClasses:
         wl = prefill_workload(small_model, 96)
         assert_reports_identical(sim.simulate(wl), sim.simulate_reference(wl))
 
-    def test_dedup_flag_forces_reference_walk(self, small_model, zcu12, shared_planner):
-        fast = WorkloadSimulator(small_model, zcu12, ExecutionPlan.meadow(), shared_planner)
-        slow = WorkloadSimulator(
-            small_model, zcu12, ExecutionPlan.meadow(), shared_planner, dedup=False
-        )
-        wl = decode_workload(small_model, 200)
-        assert_reports_identical(fast.simulate(wl), slow.simulate(wl))
-        # The forced-slow path owns per-layer record lists; the fast path
-        # shares one list across all members of a class.
-        fast_report = fast.simulate(wl)
-        assert fast_report.layer_ops[0] is fast_report.layer_ops[1]
-        slow_report = slow.simulate(wl)
-        assert slow_report.layer_ops[0] is not slow_report.layer_ops[1]
-
 
 def test_vit_workload_equivalence(zcu12):
     from repro import DEIT_S
